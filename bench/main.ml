@@ -359,10 +359,9 @@ let run_telemetry_overhead ctx fmt =
 
 (* ------------------------------------------------------------------ *)
 (* Domain-adversary scaling: the topology branch-and-bound at -j 1 vs
-   -j N.  The rack budget is set so C(racks, j) forces the B&B path
-   (exhaustive_limit 0 would too, but a genuinely large subset space is
-   the honest workload); the determinism contract says the two walls
-   bracket identical outputs. *)
+   -j N.  The rack budget is set so C(racks, j) is a genuinely large
+   subset space, the honest B&B workload; the determinism contract says
+   the two walls bracket identical outputs. *)
 
 let run_topology_scaling ctx fmt =
   let n = 71 and b = 2400 and s = 2 and racks = 24 and j = 7 in
@@ -534,8 +533,8 @@ let run_kernel_bench ctx fmt =
 (* ------------------------------------------------------------------ *)
 (* Web-scale greedy scaling sweep: the flat-CSR kernel plus sharded CELF
    over an n×b grid, one synthetic Random and one spread Simple(x)
-   instance per cell.  The sequential select_greedy is the reference
-   oracle; the sharded path runs over the ctx pool and must reproduce
+   instance per cell.  One-shard select_greedy is the reference
+   oracle; the default-sharded path runs over the ctx pool and must reproduce
    its picks bit-for-bit (shard count is a pure function of the unit
    count, so this holds at any -j — DESIGN.md §11).  One JSON row with a
    per-cell array lands in BENCH_adversary.json; check.sh hard-fails on
@@ -580,12 +579,12 @@ let run_scaling ctx fmt =
           ignore (Placement.Kernel.marginal kn0 0);
           let (picks_seq, stats_seq), wall_j1 =
             wall (fun () ->
-                Placement.Kernel.select_greedy (Placement.Kernel.copy kn0)
-                  ~picks)
+                Placement.Kernel.select_greedy ~shards:1
+                  (Placement.Kernel.copy kn0) ~picks)
           in
           let (picks_par, stats_par), wall_jn =
             wall (fun () ->
-                Placement.Kernel.select_greedy_sharded ?pool:ctx.pool
+                Placement.Kernel.select_greedy ?pool:ctx.pool
                   (Placement.Kernel.copy kn0) ~picks)
           in
           let identical = picks_seq = picks_par in

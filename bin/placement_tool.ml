@@ -835,7 +835,7 @@ let attack_term =
     in
     let attack, domain_attack =
       with_pool jobs (fun pool ->
-          let atk = Placement.Adversary.best ?pool layout ~s ~k in
+          let atk = Placement.Adversary.attack ?pool layout ~s ~k in
           let datk =
             Option.map
               (fun (tree, level, j) ->
@@ -900,7 +900,7 @@ let simulate_term =
     let attack, domain_attack =
       with_pool jobs (fun pool ->
           let atk =
-            Placement.Adversary.best ?pool ~rng layout ~s:p.Placement.Params.s
+            Placement.Adversary.attack ?pool ~rng layout ~s:p.Placement.Params.s
               ~k:p.Placement.Params.k
           in
           let datk =

@@ -22,7 +22,7 @@ let b = 600
    fully recovered, so the long-run simulation below starts clean
    without a manual recover_all. *)
 let worst_episode name cluster layout =
-  let atk = Placement.Adversary.best layout ~s ~k:3 in
+  let atk = Placement.Adversary.attack layout ~s ~k:3 in
   let events =
     Array.to_list atk.Placement.Adversary.failed_nodes
     |> List.concat_map (fun nd ->

@@ -9,58 +9,76 @@ type attack = {
   exact : bool;
 }
 
-(* Search statistics.  The B&B frontier (Bb) prunes against a shared
-   incumbent that tightens mid-flight, so which nodes get explored —
-   and with it every per-node count below — is timing-dependent:
-   Volatile.  What stays Stable is the spawn phase (a pure function of
-   the instance): the task count and the spawn depth are bit-identical
-   at any -j, and the determinism suites diff them.  Hot loops
-   accumulate plain local ints inside Bb and flush here once per
-   search. *)
-let m_bb_nodes =
-  Telemetry.Registry.counter ~kind:Volatile "core/adversary/bb/nodes_expanded"
-let m_bb_leaves =
-  Telemetry.Registry.counter ~kind:Volatile "core/adversary/bb/leaves"
-let m_bb_prunes =
-  Telemetry.Registry.counter ~kind:Volatile "core/adversary/bb/bound_prunes"
-let m_bb_improves =
-  Telemetry.Registry.counter ~kind:Volatile "core/adversary/bb/improvements"
-let m_bb_truncations =
-  Telemetry.Registry.counter ~kind:Volatile "core/adversary/bb/truncations"
-let m_bb_spawned = Telemetry.Registry.counter "core/adversary/bb/spawned_tasks"
-let m_bb_spawn_depth =
-  Telemetry.Registry.gauge ~kind:Stable "core/adversary/bb/spawn_depth"
-let m_bb_steals =
-  Telemetry.Registry.counter ~kind:Volatile "core/adversary/bb/steals"
-let m_bb_pubs =
-  Telemetry.Registry.counter ~kind:Volatile "core/adversary/bb/bound_publications"
-let m_bb_completions =
-  Telemetry.Registry.counter ~kind:Volatile "core/adversary/bb/completions"
-let m_greedy_runs = Telemetry.Registry.counter "core/adversary/greedy/runs"
-let m_greedy_evals = Telemetry.Registry.counter "core/adversary/greedy/marginal_evals"
+(* Search statistics, registered once per adversary under its own
+   prefix ("core/adversary" for nodes, "topology/adversary" for fault
+   domains) — the same search runs behind both.  The B&B frontier (Bb)
+   prunes against a shared incumbent that tightens mid-flight, so which
+   nodes get explored — and with it every per-node count — is
+   timing-dependent: Volatile.  What stays Stable is the spawn phase (a
+   pure function of the instance): the task count and the spawn depth
+   are bit-identical at any -j, and the determinism suites diff them.
+   Kernel counters (see Kernel and DESIGN.md §10): the greedy paths
+   flush deterministic counts into the Stable [kernel/updates]; the
+   frontier's kernel traffic and undo depth follow its exploration and
+   are Volatile.  Hot loops accumulate plain local ints inside Kernel
+   and Bb and flush here once per search. *)
+type metrics = {
+  flush_greedy : Kernel.greedy_stats -> updates:int -> unit;
+  flush_bb : Bb.stats -> unit;
+  truncations : Telemetry.Counter.t;
+}
+
+let metrics prefix =
+  let path name = prefix ^ "/" ^ name in
+  let stable name = Telemetry.Registry.counter (path name) in
+  let volatile name = Telemetry.Registry.counter ~kind:Volatile (path name) in
+  let runs = stable "greedy/runs" and evals = stable "greedy/marginal_evals"
+  and pops = stable "kernel/heap_pops" and stale = stable "kernel/stale_reevals"
+  and updates = stable "kernel/updates" and spawned = stable "bb/spawned_tasks"
+  and spawn_depth = Telemetry.Registry.gauge ~kind:Stable (path "bb/spawn_depth")
+  and undo_depth =
+    Telemetry.Registry.histogram ~kind:Volatile (path "kernel/bb_undo_depth")
+  in
+  let bb =
+    List.map
+      (fun (name, get) -> (volatile name, get))
+      [
+        ("bb/nodes_expanded", fun (st : Bb.stats) -> st.nodes);
+        ("bb/leaves", fun st -> st.leaves);
+        ("bb/bound_prunes", fun st -> st.prunes);
+        ("bb/improvements", fun st -> st.improvements);
+        ("bb/completions", fun st -> st.completions);
+        ("bb/bound_publications", fun st -> st.bound_publications);
+        ("bb/steals", fun st -> st.steals);
+        ("bb/kernel_updates", fun st -> st.kernel_updates);
+        ("kernel/bb_undos", fun st -> st.undos);
+      ]
+  in
+  {
+    flush_greedy =
+      (fun (st : Kernel.greedy_stats) ~updates:u ->
+        Telemetry.Counter.incr runs;
+        Telemetry.Counter.add evals st.evals;
+        Telemetry.Counter.add pops st.heap_pops;
+        Telemetry.Counter.add stale st.stale_reevals;
+        Telemetry.Counter.add updates u);
+    flush_bb =
+      (fun st ->
+        Telemetry.Gauge.set spawn_depth (float_of_int st.Bb.spawn_depth);
+        Telemetry.Counter.add spawned st.Bb.spawned_tasks;
+        List.iter (fun (c, get) -> Telemetry.Counter.add c (get st)) bb;
+        Telemetry.Histogram.observe undo_depth st.Bb.max_undo_depth);
+    truncations = volatile "bb/truncations";
+  }
+
+let core = metrics "core/adversary"
+let m_kernel_updates = Telemetry.Registry.counter "core/adversary/kernel/updates"
+let m_attack_span = Telemetry.Registry.span "core/adversary/attack"
 let m_ls_restarts = Telemetry.Registry.counter "core/adversary/local_search/restarts"
 let m_ls_passes = Telemetry.Registry.counter "core/adversary/local_search/passes"
 let m_ls_swaps = Telemetry.Registry.counter "core/adversary/local_search/swaps"
 let m_attack_exact = Telemetry.Registry.counter "core/adversary/attack/exact_dispatch"
 let m_attack_heur = Telemetry.Registry.counter "core/adversary/attack/heuristic_dispatch"
-let m_attack_span = Telemetry.Registry.span "core/adversary/attack"
-
-(* Kernel counters (see Kernel and DESIGN.md §10): incremental add/remove
-   updates and CELF heap activity.  The greedy/local-search paths flush
-   deterministic counts into the Stable [kernel/updates]; the frontier's
-   kernel traffic and undo depth follow its exploration and are Volatile
-   (kept under the bb/kernel prefix). *)
-let m_kernel_updates = Telemetry.Registry.counter "core/adversary/kernel/updates"
-let m_kernel_pops = Telemetry.Registry.counter "core/adversary/kernel/heap_pops"
-let m_kernel_stale =
-  Telemetry.Registry.counter "core/adversary/kernel/stale_reevals"
-let m_bb_kernel_updates =
-  Telemetry.Registry.counter ~kind:Volatile "core/adversary/bb/kernel_updates"
-let m_kernel_undos =
-  Telemetry.Registry.counter ~kind:Volatile "core/adversary/kernel/bb_undos"
-let m_kernel_undo_depth =
-  Telemetry.Registry.histogram ~kind:Volatile
-    "core/adversary/kernel/bb_undo_depth"
 
 (* One-shot scoring: a single O(b·r) merge pass with no allocation.
    Routing this through a throwaway Kernel would rebuild the per-object
@@ -73,69 +91,51 @@ let pmap pool f xs =
   | Some p -> Engine.Pool.parallel_map p f xs
   | None -> Array.map f xs
 
-let greedy ?pool layout ~s ~k =
-  let kn = Kernel.make layout ~s in
-  let picks, stats = Kernel.select_greedy_sharded ?pool kn ~picks:k in
-  Telemetry.Counter.incr m_greedy_runs;
-  Telemetry.Counter.add m_greedy_evals stats.Kernel.evals;
-  Telemetry.Counter.add m_kernel_pops stats.Kernel.heap_pops;
-  Telemetry.Counter.add m_kernel_stale stats.Kernel.stale_reevals;
-  Telemetry.Counter.add m_kernel_updates (Kernel.updates kn);
+type search = { units : int array; killed : int; optimal : bool }
+
+let search_greedy ?pool m kn ~k =
+  let picks, stats = Kernel.select_greedy ?pool kn ~picks:k in
+  m.flush_greedy stats ~updates:(Kernel.updates kn);
   {
-    failed_nodes = Combin.Intset.of_array picks;
-    failed_objects = Kernel.killed kn;
-    exact = false;
+    units = Combin.Intset.of_array picks;
+    killed = Kernel.killed kn;
+    optimal = false;
   }
 
-(* Flush a frontier run's statistics into the core counters; shared with
-   {!exact_seq}.  Called once per search on the calling domain. *)
-let flush_bb_stats (st : Bb.stats) =
-  Telemetry.Gauge.set m_bb_spawn_depth (float_of_int st.Bb.spawn_depth);
-  Telemetry.Counter.add m_bb_spawned st.Bb.spawned_tasks;
-  Telemetry.Counter.add m_bb_nodes st.Bb.nodes;
-  Telemetry.Counter.add m_bb_leaves st.Bb.leaves;
-  Telemetry.Counter.add m_bb_prunes st.Bb.prunes;
-  Telemetry.Counter.add m_bb_improves st.Bb.improvements;
-  Telemetry.Counter.add m_bb_completions st.Bb.completions;
-  Telemetry.Counter.add m_bb_pubs st.Bb.bound_publications;
-  Telemetry.Counter.add m_bb_steals st.Bb.steals;
-  Telemetry.Counter.add m_bb_kernel_updates st.Bb.kernel_updates;
-  Telemetry.Counter.add m_kernel_undos st.Bb.undos;
-  Telemetry.Histogram.observe m_kernel_undo_depth st.Bb.max_undo_depth
-
-(* The frontier (Bb, DESIGN.md §15) does the heavy lifting: greedy seeds
-   the shared incumbent, the spawn phase shards the tree into prefix
-   tasks, and work stealing drains them under one global node budget.
-   The returned set is the lexicographically smallest optimum whenever
-   one strictly beats greedy — identical at any [-j] — and on budget
-   exhaustion the result deterministically falls back to the greedy
-   attack with [exact = false]. *)
-let exact ?(budget = 50_000_000) ?spawn_depth ?pool layout ~s ~k =
-  let n = layout.Layout.n in
-  if k >= n then invalid_arg "Adversary.exact: k >= n";
-  if k = 0 then { failed_nodes = [||]; failed_objects = 0; exact = true }
+(* Greedy runs on a copy: the frontier needs [kn] all-up. *)
+let search_exact ?(budget = 50_000_000) ?spawn_depth ?pool m kn ~k =
+  if k = 0 then { units = [||]; killed = 0; optimal = true }
   else begin
-    let kn0 = Kernel.make layout ~s in
-    let g = greedy ?pool layout ~s ~k in
+    let g = search_greedy ?pool m (Kernel.copy kn) ~k in
     let r =
-      Bb.search ?pool ?spawn_depth ~budget ~kernel:kn0 ~k
-        ~seed:g.failed_objects ()
+      Bb.search ?pool ?spawn_depth ~budget ~kernel:kn ~k ~seed:g.killed ()
     in
-    flush_bb_stats r.Bb.stats;
+    m.flush_bb r.Bb.stats;
     if r.Bb.truncated then begin
-      Telemetry.Counter.incr m_bb_truncations;
-      { g with exact = false }
+      Telemetry.Counter.incr m.truncations;
+      g
     end
     else
       match r.Bb.set with
       | Some set ->
           {
-            failed_nodes = Combin.Intset.of_array set;
-            failed_objects = r.Bb.value;
-            exact = true;
+            units = Combin.Intset.of_array set;
+            killed = r.Bb.value;
+            optimal = true;
           }
-      | None -> { g with exact = true }
+      | None -> { g with optimal = true }
   end
+
+let of_search r =
+  { failed_nodes = r.units; failed_objects = r.killed; exact = r.optimal }
+
+let greedy ?pool layout ~s ~k =
+  of_search (search_greedy ?pool core (Kernel.make layout ~s) ~k)
+
+let exact ?budget ?spawn_depth ?pool layout ~s ~k =
+  if k >= layout.Layout.n then invalid_arg "Adversary.exact: k >= n";
+  of_search
+    (search_exact ?budget ?spawn_depth ?pool core (Kernel.make layout ~s) ~k)
 
 (* The sequential reference oracle: the whole search runs in the
    deterministic spawn phase ([spawn_depth = k]), with no pool — classic
@@ -273,8 +273,5 @@ let attack ?pool ?rng ?(restarts = 8) ?(exact_limit = 5e7) layout ~s ~k =
           n (Layout.b layout) s k (combos *. avg_degree) restarts);
     local_search ~rng ~restarts ?pool layout ~s ~k
   end
-
-let best ?pool ?rng ?exact_limit layout ~s ~k =
-  attack ?pool ?rng ?exact_limit layout ~s ~k
 
 let avail layout ~s:_ attack = Layout.b layout - attack.failed_objects

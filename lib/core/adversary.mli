@@ -9,6 +9,11 @@
     (see DESIGN.md §3 on how this substitutes for the paper's unspecified
     "simulating the worst k failures").
 
+    The search itself is unit-level: {!search_greedy} and
+    {!search_exact} run over any all-up {!Kernel.t}, whose units are
+    nodes here and same-level fault domains in [Topology.Adversary] —
+    one search, two telemetry prefixes ({!metrics}).
+
     Both searches are fan-out shaped and accept an optional
     {!Engine.Pool}: the branch-and-bound runs on the work-stealing
     sharded frontier ({!Bb}, DESIGN.md §15), the local search
@@ -22,6 +27,42 @@ type attack = {
   exact : bool;  (** true if produced by exhaustive/B&B search *)
 }
 
+type metrics
+(** The search counters of one adversary, under one path prefix. *)
+
+val metrics : string -> metrics
+(** Registers (or finds) the [greedy/*], [kernel/*] and [bb/*] search
+    counters under a prefix; the node adversary's is
+    ["core/adversary"]. *)
+
+type search = {
+  units : int array;  (** the chosen units, ascending *)
+  killed : int;  (** objects with ≥ s replicas on them *)
+  optimal : bool;  (** proved optimal by branch-and-bound *)
+}
+
+val search_greedy :
+  ?pool:Engine.Pool.t -> metrics -> Kernel.t -> k:int -> search
+(** {!Kernel.select_greedy} for [k] picks on the given kernel (left
+    with the picks applied); [optimal = false]. *)
+
+val search_exact :
+  ?budget:int -> ?spawn_depth:int -> ?pool:Engine.Pool.t ->
+  metrics -> Kernel.t -> k:int -> search
+(** Branch-and-bound over every k-subset of the all-up kernel's units
+    (left untouched) with a degree-sum upper bound for pruning, seeded
+    with {!search_greedy} on a copy, run on the work-stealing sharded
+    frontier ({!Bb}): subtree tasks cut at a deterministic spawn depth
+    ([spawn_depth] overrides it, clamped to [1, k]; tests only), drained
+    through per-domain deques under ONE global node budget (default 50
+    million) — a heavy subtree inherits whatever budget its finished
+    siblings never used.  When a set strictly beats greedy, the result
+    is the lexicographically smallest optimum, at any [pool] size.  If
+    the TOTAL budget runs out the result falls back to the greedy search
+    with [optimal = false] — deterministically, since any "best so far"
+    under work stealing would be schedule-dependent.  [k = 0] is the
+    empty set. *)
+
 val eval : Layout.t -> s:int -> int array -> int
 (** Number of objects failed by a given node set: a one-shot O(b·r)
     merge pass ({!Layout.failed_objects}) with no kernel construction.
@@ -31,18 +72,8 @@ val eval : Layout.t -> s:int -> int array -> int
 val exact :
   ?budget:int -> ?spawn_depth:int -> ?pool:Engine.Pool.t ->
   Layout.t -> s:int -> k:int -> attack
-(** Branch-and-bound over all C(n,k) failure sets with a degree-sum upper
-    bound for pruning, seeded with the {!greedy} incumbent, run on the
-    work-stealing sharded frontier ({!Bb}): subtree tasks cut at a
-    deterministic spawn depth ([spawn_depth] overrides it, clamped to
-    [1, k]; tests only), drained through per-domain deques under ONE
-    global node budget (default 50 million) — a heavy subtree inherits
-    whatever budget its finished siblings never used.  When a set
-    strictly beats greedy, the reported set is the lexicographically
-    smallest optimum, at any [pool] size.  If the TOTAL budget runs out
-    the result falls back to the greedy attack with [exact = false] —
-    deterministically, since any "best so far" under work stealing
-    would be schedule-dependent. *)
+(** {!search_exact} over the layout's nodes.
+    @raise Invalid_argument when [k >= n]. *)
 
 val exact_seq : ?budget:int -> Layout.t -> s:int -> k:int -> attack
 (** The sequential reference oracle: {!exact} with the whole tree
@@ -52,14 +83,9 @@ val exact_seq : ?budget:int -> Layout.t -> s:int -> k:int -> attack
     it. *)
 
 val greedy : ?pool:Engine.Pool.t -> Layout.t -> s:int -> k:int -> attack
-(** Add the node with the best marginal damage k times; ties broken by
-    progress toward failing objects, then by lowest node id.  Runs as
-    sharded CELF lazy-greedy over the attack kernel
-    ({!Kernel.select_greedy_sharded}): candidates sit in bound-keyed
-    heaps partitioned by node id, each shard re-checks its popped
-    candidates exactly, and the per-pick reduce applies the sequential
-    scan's own total order — so the chosen nodes AND the search
-    statistics are bit-identical to a full rescan per pick, at any
+(** {!search_greedy} over the layout's nodes: add the node with the best
+    marginal damage k times; ties broken by progress toward failing
+    objects, then by lowest node id — a full rescan's picks, at any
     [pool] size, while touching far fewer marginals on large
     instances. *)
 
@@ -82,12 +108,6 @@ val attack :
     falls back to best-so-far and a debug line when dispatching to the
     heuristic, so callers can tell a heuristic answer from an exact
     one. *)
-
-val best :
-  ?pool:Engine.Pool.t -> ?rng:Combin.Rng.t -> ?exact_limit:float ->
-  Layout.t -> s:int -> k:int -> attack
-(** [attack] without the restart override; kept for callers of the
-    pre-pool API. *)
 
 val avail : Layout.t -> s:int -> attack -> int
 (** [b - attack.failed_objects]: the (estimated) Avail(π) of Def. 1. *)

@@ -106,6 +106,6 @@ let pr_avail_fraction t = (Random_analysis.report t.params).Random_analysis.frac
 let rnd_report t = Random_analysis.report t.params
 
 let attack ?pool ?rng t layout =
-  Adversary.best ?pool ?rng layout ~s:t.params.s ~k:t.params.k
+  Adversary.attack ?pool ?rng layout ~s:t.params.s ~k:t.params.k
 
 let avail t layout atk = Adversary.avail layout ~s:t.params.s atk

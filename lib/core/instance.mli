@@ -103,6 +103,6 @@ val rnd_report : t -> Random_analysis.rnd_report
 (** The full {!Random_analysis.report} for these parameters. *)
 
 val attack : ?pool:Engine.Pool.t -> ?rng:Combin.Rng.t -> t -> Layout.t -> Adversary.attack
-(** {!Adversary.best} at this instance's s and k. *)
+(** {!Adversary.attack} at this instance's s and k. *)
 
 val avail : t -> Layout.t -> Adversary.attack -> int

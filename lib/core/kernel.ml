@@ -218,8 +218,8 @@ type greedy_stats = { evals : int; heap_pops : int; stale_reevals : int }
    winner stays out.  The batch changes only heap internals — the heap
    order is total, so pops (and hence picks and stats) are identical to
    the one-push-per-loser formulation, minus its per-loser sift cost.
-   Returns best_id = -1 on an empty heap (sharded callers own shards
-   that may run dry; select_greedy guards against it up front).
+   Returns best_id = -1 on an empty heap (a shard may run dry; the
+   drivers' callers guard against too many picks up front).
 
    [marginal] abstracts the counter state being scanned: the flat kernel
    passes [marginal t], the dynamic kernel ({!Dyn.worst_case}) a closure
@@ -283,60 +283,26 @@ let round_scan ~marginal heap ~packed =
   Combin.Heap.Int_max.push_many heap ~keys:!lkeys ~payloads:!lpays ~count:!cnt;
   (!best_key, !best_id, !best_pr, !evals, !pops, !stale)
 
-let select_greedy ?heap t ~picks =
-  let n = units t in
-  if picks > n - Combin.Bitset.count t.failed then
-    invalid_arg "Kernel.select_greedy: more picks than unchosen units";
-  let base = 1 + Combin.Csr.max_degree t.csr in
-  let packed ne pr = (ne * base) + pr in
-  let heap =
-    (* A caller-owned heap is cleared and refilled: the pop order is a
-       strict total order on (key, payload), so reuse cannot change any
-       pick — it only skips the per-call allocation. *)
-    match heap with
-    | Some h ->
-        Combin.Heap.Int_max.clear h;
-        h
-    | None -> Combin.Heap.Int_max.create ()
-  in
-  let evals = ref 0 and pops = ref 0 and stale = ref 0 in
-  for u = 0 to n - 1 do
-    if not (Combin.Bitset.mem t.failed u) then begin
-      let _, pr = marginal t u in
-      incr evals;
-      Combin.Heap.Int_max.push heap ~key:(packed pr pr) u
-    end
-  done;
-  let out = Array.make picks 0 in
-  for pick = 0 to picks - 1 do
-    let _, best_id, _, e, p, st = round_scan ~marginal:(marginal t) heap ~packed in
-    evals := !evals + e;
-    pops := !pops + p;
-    stale := !stale + st;
-    add t best_id;
-    out.(pick) <- best_id
-  done;
-  (out, { evals = !evals; heap_pops = !pops; stale_reevals = !stale })
-
 (* ------------------------------------------------------------------ *)
-(* Sharded CELF: partition the unit ids into contiguous shards, give
-   each shard its own bound heap, and per pick let every shard produce
-   its exact-checked local argmax in parallel; the caller reduces with
-   the global (packed value desc, unit id asc) order.  The winning
-   unit's id is the lowest id attaining the global exact maximum —
-   exactly the sequential scan's choice — so picks are bit-identical to
-   {!select_greedy} at any pool size.
+(* The CELF driver.  Unit ids are cut into contiguous shards, each with
+   its own bound heap; per pick every shard produces its exact-checked
+   local argmax (in parallel over [pool] when there are several shards)
+   and the reduce applies the global (packed value desc, unit id asc)
+   order.  The winner is the lowest id attaining the global exact
+   maximum — a full rescan's own choice — so picks do not depend on the
+   shard count or the pool.  The statistics do depend on the shard
+   count (which candidates a round pops depends on which units share a
+   heap), but the shard count is a pure function of the unit count,
+   never of the pool, so the Stable telemetry stays -j-invariant; see
+   DESIGN.md §11.  One shard is the classic single-heap CELF: the same
+   loop, not a separate path.
 
-   All shards read the caller's ONE counter state: within a round the
-   kernel is never mutated (marginal is read-only; a shard mutates only
-   its own heap), and the winner's O(load) add lands on the calling
-   domain between rounds — so rounds are data-race free and the hits
-   plane stays a single cache-resident copy instead of a per-shard
-   mirror (which costs ~2× wall on b ~ 10^6 planes from the extra
-   memory traffic alone).  The shard count is a pure function of the
-   unit count (never of the pool), so the eval/pop statistics are
-   themselves deterministic at any -j (the Stable telemetry contract);
-   see DESIGN.md §11. *)
+   All shards read the caller's ONE counter state: within a round
+   [marginal] is read-only (a shard mutates only its own heap), and the
+   winner's [apply] lands on the calling domain between rounds — so
+   rounds are data-race free and the hits plane stays a single
+   cache-resident copy instead of a per-shard mirror (which costs ~2×
+   wall on b ~ 10^6 planes from the extra memory traffic alone). *)
 
 type shard = {
   heap : Combin.Heap.Int_max.t;
@@ -356,102 +322,114 @@ type shard = {
    function of [units] — see above. *)
 let default_shards units = min 64 (max 1 (units / 512))
 
+(* A lone shard runs on the calling domain: a pool batch would buy no
+   parallelism and only move the pool's own counters. *)
 let pmap pool f xs =
   match pool with
-  | Some p -> Engine.Pool.parallel_map p f xs
-  | None -> Array.map f xs
+  | Some p when Array.length xs > 1 -> Engine.Pool.parallel_map p f xs
+  | _ -> Array.map f xs
 
-let select_greedy_sharded ?pool ?shards t ~picks =
+(* [marginal] scores a unit against the counter state, [apply] fails
+   the round's winner in it, [chosen] marks units already failed (never
+   candidates); [base] packs the pair as in round_scan. *)
+let celf ~pool ~heap ~shards:nshards ~units:n ~base ~marginal ~apply ~chosen
+    ~picks =
+  let packed ne pr = (ne * base) + pr in
+  let shards =
+    Array.init nshards (fun i ->
+        let heap =
+          (* A caller-owned heap is cleared and refilled: the pop order
+             is a strict total order on (key, payload), so reuse changes
+             no pick and no statistic — it only skips the allocation. *)
+          match heap with
+          | Some h when i = 0 ->
+              Combin.Heap.Int_max.clear h;
+              h
+          | _ -> Combin.Heap.Int_max.create ()
+        in
+        {
+          heap;
+          lo = i * n / nshards;
+          hi = (i + 1) * n / nshards;
+          filled = false;
+          held = -1;
+          held_pr = 0;
+          s_evals = 0;
+          s_pops = 0;
+          s_stale = 0;
+        })
+  in
+  let round pending sh =
+    (* A held local best that lost the previous global reduce re-enters
+       with its (still valid) refreshed bound. *)
+    if sh.held >= 0 && sh.held <> pending then
+      Combin.Heap.Int_max.push sh.heap ~key:(packed sh.held_pr sh.held_pr)
+        sh.held;
+    sh.held <- -1;
+    if not sh.filled then begin
+      (* Deferred initial fill: the O(units·load) bound pass is the bulk
+         of a greedy run, so it rides the first parallel round. *)
+      sh.filled <- true;
+      for u = sh.lo to sh.hi - 1 do
+        if not (chosen u) then begin
+          let _, pr = marginal u in
+          sh.s_evals <- sh.s_evals + 1;
+          Combin.Heap.Int_max.push sh.heap ~key:(packed pr pr) u
+        end
+      done
+    end;
+    let best_key, best_id, best_pr, e, p, st =
+      round_scan ~marginal sh.heap ~packed
+    in
+    sh.s_evals <- sh.s_evals + e;
+    sh.s_pops <- sh.s_pops + p;
+    sh.s_stale <- sh.s_stale + st;
+    if best_id >= 0 then begin
+      sh.held <- best_id;
+      sh.held_pr <- best_pr
+    end;
+    (best_key, best_id)
+  in
+  let out = Array.make picks 0 in
+  let pending = ref (-1) in
+  for pick = 0 to picks - 1 do
+    (* The previous winner's damage lands once, here, on the calling
+       domain: the in-flight round then only reads the counter state. *)
+    if !pending >= 0 then apply !pending;
+    let results = pmap pool (round !pending) shards in
+    (* Reduce: greatest exact value, ties to the lowest unit id. *)
+    let bk = ref (-1) and bid = ref (-1) in
+    Array.iter
+      (fun (key, id) ->
+        if id >= 0 && (key > !bk || (key = !bk && id < !bid)) then begin
+          bk := key;
+          bid := id
+        end)
+      results;
+    out.(pick) <- !bid;
+    pending := !bid
+  done;
+  if !pending >= 0 then apply !pending;
+  let evals = ref 0 and pops = ref 0 and stale = ref 0 in
+  Array.iter
+    (fun sh ->
+      evals := !evals + sh.s_evals;
+      pops := !pops + sh.s_pops;
+      stale := !stale + sh.s_stale)
+    shards;
+  (out, { evals = !evals; heap_pops = !pops; stale_reevals = !stale })
+
+let select_greedy ?pool ?heap ?shards t ~picks =
   let n = units t in
   if picks > n - Combin.Bitset.count t.failed then
     invalid_arg "Kernel.select_greedy: more picks than unchosen units";
-  let nshards =
+  let shards =
     match shards with Some s -> max 1 s | None -> default_shards n
   in
-  if nshards = 1 then select_greedy t ~picks
-  else begin
-    let base = 1 + Combin.Csr.max_degree t.csr in
-    let packed ne pr = (ne * base) + pr in
-    let shards_arr =
-      Array.init nshards (fun i ->
-          {
-            heap = Combin.Heap.Int_max.create ();
-            lo = i * n / nshards;
-            hi = (i + 1) * n / nshards;
-            filled = false;
-            held = -1;
-            held_pr = 0;
-            s_evals = 0;
-            s_pops = 0;
-            s_stale = 0;
-          })
-    in
-    let out = Array.make picks 0 in
-    let pending = ref (-1) in
-    for pick = 0 to picks - 1 do
-      (* The previous winner's damage lands once, here, on the calling
-         domain: the in-flight round then only reads the kernel. *)
-      if !pending >= 0 then add t !pending;
-      let results =
-        pmap pool
-          (fun sh ->
-            (* A held local best that lost the previous global reduce
-               re-enters with its (still valid) refreshed bound. *)
-            if sh.held >= 0 && sh.held <> !pending then
-              Combin.Heap.Int_max.push sh.heap
-                ~key:(packed sh.held_pr sh.held_pr) sh.held;
-            sh.held <- -1;
-            if not sh.filled then begin
-              (* Deferred initial fill: the O(units·load) bound pass is
-                 the bulk of a greedy run, so it rides the first
-                 parallel round. *)
-              sh.filled <- true;
-              for u = sh.lo to sh.hi - 1 do
-                if not (Combin.Bitset.mem t.failed u) then begin
-                  let _, pr = marginal t u in
-                  sh.s_evals <- sh.s_evals + 1;
-                  Combin.Heap.Int_max.push sh.heap ~key:(packed pr pr) u
-                end
-              done
-            end;
-            let best_key, best_id, best_pr, e, p, st =
-              round_scan ~marginal:(marginal t) sh.heap ~packed
-            in
-            sh.s_evals <- sh.s_evals + e;
-            sh.s_pops <- sh.s_pops + p;
-            sh.s_stale <- sh.s_stale + st;
-            if best_id >= 0 then begin
-              sh.held <- best_id;
-              sh.held_pr <- best_pr
-            end;
-            (best_key, best_id))
-          shards_arr
-      in
-      (* Reduce: greatest exact value, ties to the lowest unit id — the
-         same total order the sequential scan applies globally. *)
-      let bk = ref (-1) and bid = ref (-1) in
-      Array.iter
-        (fun (key, id) ->
-          if id >= 0 && (key > !bk || (key = !bk && id < !bid)) then begin
-            bk := key;
-            bid := id
-          end)
-        results;
-      out.(pick) <- !bid;
-      pending := !bid
-    done;
-    (* The final winner's add: the kernel ends with every pick applied,
-       per the {!select_greedy} contract. *)
-    if !pending >= 0 then add t !pending;
-    let evals = ref 0 and pops = ref 0 and stale = ref 0 in
-    Array.iter
-      (fun sh ->
-        evals := !evals + sh.s_evals;
-        pops := !pops + sh.s_pops;
-        stale := !stale + sh.s_stale)
-      shards_arr;
-    (out, { evals = !evals; heap_pops = !pops; stale_reevals = !stale })
-  end
+  celf ~pool ~heap ~shards ~units:n
+    ~base:(1 + Combin.Csr.max_degree t.csr)
+    ~marginal:(marginal t) ~apply:(add t)
+    ~chosen:(Combin.Bitset.mem t.failed) ~picks
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic kernel: the object population itself churns. *)
@@ -469,14 +447,15 @@ module Dyn = struct
      slot moves into a freed one (callers track the move via
      {!remove_object}'s return), so the hits plane never fragments.
 
-     Greedy parity: {!worst_case} runs the same CELF round_scan over a
-     scratch all-up plane.  Its packing base is 1 + max_degree where
-     max_degree is a MONOTONE high-water mark of row length — possibly
-     larger than the current max degree after deletes, but any base
-     exceeding every reachable (newly, progress) component yields the
-     same lexicographic comparisons (see round_scan), so picks and stats
-     are bit-identical to [select_greedy] on a freshly built flat kernel
-     over the same live objects. *)
+     Greedy parity: {!worst_case} runs the same CELF driver, with the
+     same shard count, over a scratch all-up plane.  Its packing base is
+     1 + max_degree where max_degree is a MONOTONE high-water mark of
+     row length — possibly larger than the current max degree after
+     deletes, but any base exceeding every reachable (newly, progress)
+     component yields the same lexicographic comparisons (see
+     round_scan), so picks and stats are bit-identical to
+     [select_greedy] on a freshly built flat kernel over the same live
+     objects. *)
 
   type nonrec t = {
     s : int;
@@ -706,7 +685,7 @@ module Dyn = struct
     let scratch = fresh_hits (max 1 t.b) in
     let s = t.s in
     let dead = ref 0 in
-    let marginal_scratch u =
+    let marginal u =
       let newly = ref 0 and progress = ref 0 in
       let row = t.rows.(u) in
       for i = 0 to t.row_len.(u) - 1 do
@@ -725,25 +704,11 @@ module Dyn = struct
         if h = s then incr dead
       done
     in
-    let base = 1 + t.max_degree in
-    let packed ne pr = (ne * base) + pr in
-    let heap = Combin.Heap.Int_max.create () in
-    let evals = ref 0 and pops = ref 0 and stale = ref 0 in
-    for u = 0 to t.units - 1 do
-      let _, pr = marginal_scratch u in
-      incr evals;
-      Combin.Heap.Int_max.push heap ~key:(packed pr pr) u
-    done;
-    let out = Array.make k 0 in
-    for pick = 0 to k - 1 do
-      let _, best_id, _, e, p, st =
-        round_scan ~marginal:marginal_scratch heap ~packed
-      in
-      evals := !evals + e;
-      pops := !pops + p;
-      stale := !stale + st;
-      apply best_id;
-      out.(pick) <- best_id
-    done;
-    (out, !dead, { evals = !evals; heap_pops = !pops; stale_reevals = !stale })
+    let picks, stats =
+      celf ~pool:None ~heap:None ~shards:(default_shards t.units) ~units:t.units
+        ~base:(1 + t.max_degree) ~marginal ~apply
+        ~chosen:(fun _ -> false)
+        ~picks:k
+    in
+    (picks, !dead, stats)
 end

@@ -106,36 +106,43 @@ type greedy_stats = {
       (** pops whose cached bound had decayed since it was pushed *)
 }
 
+val default_shards : int -> int
+(** The CELF shard count for a unit count: one shard per ~512 units
+    (so one below 1024 units), at most 64. *)
+
 val select_greedy :
-  ?heap:Combin.Heap.Int_max.t -> t -> picks:int -> int array * greedy_stats
+  ?pool:Engine.Pool.t ->
+  ?heap:Combin.Heap.Int_max.t ->
+  ?shards:int ->
+  t ->
+  picks:int ->
+  int array * greedy_stats
 (** CELF lazy-greedy: pick [picks] units one at a time, each maximizing
-    [(newly, progress)] with ties to the lowest unit id — bit-identical
-    to a full rescan per pick (the pre-kernel greedy).  Candidates live
-    in a {!Combin.Heap.Int_max} keyed by a monotone upper bound (the
-    progress component, which never grows as the failure set does); a
-    popped candidate is re-evaluated exactly and the round stops only
-    when no remaining bound can beat or tie the best exact value (see
-    DESIGN.md §10 for the determinism argument).  Per-round loser
-    re-pushes are batched through {!Combin.Heap.Int_max.push_many}.
+    [(newly, progress)] with ties to the lowest unit id — the same
+    picks as a full rescan per pick (the pre-kernel greedy).
+    Candidates live in {!Combin.Heap.Int_max}s keyed by a monotone
+    upper bound (the progress component, which never grows as the
+    failure set does), one heap per contiguous shard of unit ids; per
+    pick every shard re-evaluates its popped candidates exactly until
+    no remaining bound can beat or tie its best (DESIGN.md §10), in
+    parallel over [pool] when there are several shards, and the reduce
+    takes the greatest value with ties to the lowest unit id.  Per-round
+    loser re-pushes are batched through {!Combin.Heap.Int_max.push_many}.
+
+    Determinism contract (DESIGN.md §11): the picks do not depend on
+    the shard count or the pool; the statistics are a function of the
+    shard count; and the shard count defaults to a pure function of
+    the unit count (one shard below 1024 units), never of the pool — so
+    picks and statistics are identical at any [pool] size.  Pass
+    [shards] explicitly only in tests and benches.
+
     The kernel ends with the picks applied; the returned array is in
     pick order.  [heap] lets a repeated caller (the B&B frontier's
-    greedy-completion probes, {!Bb}) supply a long-lived heap that is
-    {!Combin.Heap.Int_max.clear}ed and reused instead of allocated per
-    call; the pop order is a strict total order, so reuse changes no
-    pick and no statistic.
+    greedy-completion probes, {!Bb}) supply a long-lived heap for the
+    first shard that is {!Combin.Heap.Int_max.clear}ed and reused
+    instead of allocated per call; the pop order is a strict total
+    order, so reuse changes no pick and no statistic.
     @raise Invalid_argument if [picks] exceeds the unchosen units. *)
-
-val select_greedy_sharded :
-  ?pool:Engine.Pool.t -> ?shards:int -> t -> picks:int -> int array * greedy_stats
-(** {!select_greedy} with the candidate heap sharded across contiguous
-    unit-id blocks: per pick every shard produces its exact-checked
-    local argmax (in parallel over [pool] when given), and the reduce
-    takes the greatest packed value with ties to the lowest unit id —
-    the sequential scan's own order, so picks AND stats are
-    bit-identical to {!select_greedy} and to any other [pool] size.
-    [shards] defaults to a pure function of the unit count (never of
-    the pool), preserving the Stable-telemetry -j invariance; pass it
-    explicitly only in tests.  See DESIGN.md §11. *)
 
 val updates : t -> int
 (** Lifetime {!add} + {!remove} count on this state (not its copies) —
@@ -217,16 +224,18 @@ module Dyn : sig
   (** Pack the live rows into a flat {!kernel} (same slot numbering) and
       replay the current failure set onto it — the from-scratch rebuild
       the incremental state is tested against, and what a one-shot
-      caller should use for B&B or sharded attacks. *)
+      caller should use for B&B attacks. *)
 
   val worst_case : t -> k:int -> int array * int * greedy_stats
   (** CELF lazy-greedy adversary over the CURRENT object population,
       attacking from all-up on a scratch counter plane (the live failure
       state is left untouched and does not bias the adversary): returns
       the k picks in order, the objects they kill, and the scan stats.
-      Picks and stats are bit-identical to {!select_greedy} on a freshly
-      built flat kernel over the same live objects — the packing base
-      differs (a monotone degree high-water mark) but every CELF
-      comparison is base-invariant (see DESIGN.md §12).
+      Runs the same CELF driver as {!select_greedy}, with the same
+      default shard count, so picks and stats are bit-identical to
+      {!select_greedy} on a freshly built flat kernel over the same live
+      objects — the packing base differs (a monotone degree high-water
+      mark) but every CELF comparison is base-invariant (see DESIGN.md
+      §12).
       @raise Invalid_argument when [k] exceeds the unit count. *)
 end

@@ -22,7 +22,7 @@ let select ~rng cluster t =
   match t with
   | Adversarial k ->
       let attack =
-        Placement.Adversary.best ~rng (Cluster.layout cluster)
+        Placement.Adversary.attack ~rng (Cluster.layout cluster)
           ~s:(Cluster.fatality_threshold cluster) ~k
       in
       attack.Placement.Adversary.failed_nodes

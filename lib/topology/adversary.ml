@@ -10,62 +10,10 @@ type attack = {
   exact : bool;
 }
 
-(* Search statistics, mirroring the node adversary's: the frontier
-   (Placement.Bb) prunes against a shared incumbent that tightens
-   mid-flight, so per-node counts are Volatile; the spawn phase is a
-   pure function of (layout, tree, level, j), so the task count and
-   spawn depth stay Stable.  Hot loops accumulate plain local ints
-   inside the frontier, flushed here once per search. *)
-let m_bb_nodes =
-  Telemetry.Registry.counter ~kind:Volatile "topology/adversary/bb/nodes_expanded"
-let m_bb_leaves =
-  Telemetry.Registry.counter ~kind:Volatile "topology/adversary/bb/leaves"
-let m_bb_prunes =
-  Telemetry.Registry.counter ~kind:Volatile "topology/adversary/bb/bound_prunes"
-let m_bb_improves =
-  Telemetry.Registry.counter ~kind:Volatile "topology/adversary/bb/improvements"
-let m_bb_truncations =
-  Telemetry.Registry.counter ~kind:Volatile "topology/adversary/bb/truncations"
-let m_bb_spawned =
-  Telemetry.Registry.counter "topology/adversary/bb/spawned_tasks"
-let m_bb_spawn_depth =
-  Telemetry.Registry.gauge ~kind:Stable "topology/adversary/bb/spawn_depth"
-let m_bb_steals =
-  Telemetry.Registry.counter ~kind:Volatile "topology/adversary/bb/steals"
-let m_bb_pubs =
-  Telemetry.Registry.counter ~kind:Volatile
-    "topology/adversary/bb/bound_publications"
-let m_bb_completions =
-  Telemetry.Registry.counter ~kind:Volatile "topology/adversary/bb/completions"
-let m_exh_subsets =
-  Telemetry.Registry.counter "topology/adversary/exhaustive/subsets"
-let m_greedy_runs = Telemetry.Registry.counter "topology/adversary/greedy/runs"
-let m_greedy_evals =
-  Telemetry.Registry.counter "topology/adversary/greedy/marginal_evals"
-let m_attack_exh =
-  Telemetry.Registry.counter "topology/adversary/attack/exhaustive_dispatch"
-let m_attack_bb =
-  Telemetry.Registry.counter "topology/adversary/attack/bb_dispatch"
+(* The node adversary's unit-level search, counted under its own
+   prefix. *)
+let m = Placement.Adversary.metrics "topology/adversary"
 let m_attack_span = Telemetry.Registry.span "topology/adversary/attack"
-
-(* Kernel counters, mirroring core/adversary/kernel/*: greedy and
-   exhaustive traffic is deterministic (Stable [kernel/updates]); the
-   frontier's kernel traffic follows its timing-dependent exploration
-   (Volatile, under the bb prefix). *)
-let m_kernel_updates =
-  Telemetry.Registry.counter "topology/adversary/kernel/updates"
-let m_kernel_pops =
-  Telemetry.Registry.counter "topology/adversary/kernel/heap_pops"
-let m_kernel_stale =
-  Telemetry.Registry.counter "topology/adversary/kernel/stale_reevals"
-let m_bb_kernel_updates =
-  Telemetry.Registry.counter ~kind:Volatile
-    "topology/adversary/bb/kernel_updates"
-let m_kernel_undos =
-  Telemetry.Registry.counter ~kind:Volatile "topology/adversary/kernel/bb_undos"
-let m_kernel_undo_depth =
-  Telemetry.Registry.histogram ~kind:Volatile
-    "topology/adversary/kernel/bb_undo_depth"
 
 (* Attack units are same-level fault domains: row [d] of the domain CSR
    lists one entry per replica hosted inside domain [d] (same-level
@@ -89,12 +37,12 @@ let check layout tree ~level ~j =
          layout.Placement.Layout.n (Tree.n tree));
   Failset.validate tree ~level ~j
 
-let of_domains tree ~level domains ~failed_objects ~exact =
+let of_search tree ~level (r : Placement.Adversary.search) =
   {
-    failed_domains = Combin.Intset.of_array domains;
-    failed_nodes = Failset.nodes tree ~level domains;
-    failed_objects;
-    exact;
+    failed_domains = r.units;
+    failed_nodes = Failset.nodes tree ~level r.units;
+    failed_objects = r.killed;
+    exact = r.optimal;
   }
 
 (* One-shot scoring: expand the domains to their node set and run the
@@ -106,124 +54,26 @@ let eval layout ~s tree ~level domains =
 
 let greedy ?pool layout ~s tree ~level ~j =
   check layout tree ~level ~j;
-  let kn = kernel_of layout tree ~level ~s in
-  let picks, stats = Placement.Kernel.select_greedy_sharded ?pool kn ~picks:j in
-  Telemetry.Counter.incr m_greedy_runs;
-  Telemetry.Counter.add m_greedy_evals stats.Placement.Kernel.evals;
-  Telemetry.Counter.add m_kernel_pops stats.Placement.Kernel.heap_pops;
-  Telemetry.Counter.add m_kernel_stale stats.Placement.Kernel.stale_reevals;
-  Telemetry.Counter.add m_kernel_updates (Placement.Kernel.updates kn);
-  of_domains tree ~level picks
-    ~failed_objects:(Placement.Kernel.killed kn)
-    ~exact:false
+  of_search tree ~level
+    (Placement.Adversary.search_greedy ?pool m (kernel_of layout tree ~level ~s)
+       ~k:j)
 
-let exhaustive layout ~s tree ~level ~j =
+let exact ?budget ?spawn_depth ?pool layout ~s tree ~level ~j =
   check layout tree ~level ~j;
-  if j = 0 then
-    of_domains tree ~level [||] ~failed_objects:0 ~exact:true
-  else begin
-    (* Greedy seed + strict lexicographic improvement: the reported set
-       is the greedy one unless some subset strictly beats it, exactly
-       as the branch-and-bound path resolves ties. *)
-    let g = greedy layout ~s tree ~level ~j in
-    let st = kernel_of layout tree ~level ~s in
-    let best = ref g.failed_objects and best_set = ref None in
-    let subsets = ref 0 in
-    let nd = Tree.domain_count tree ~level in
-    let current = Array.make j 0 in
-    let rec go start depth =
-      if depth = j then begin
-        incr subsets;
-        if Placement.Kernel.killed st > !best then begin
-          best := Placement.Kernel.killed st;
-          best_set := Some (Array.copy current)
-        end
-      end
-      else
-        for d = start to nd - (j - depth) do
-          current.(depth) <- d;
-          Placement.Kernel.add st d;
-          go (d + 1) (depth + 1);
-          Placement.Kernel.remove st d
-        done
-    in
-    go 0 0;
-    Telemetry.Counter.add m_exh_subsets !subsets;
-    Telemetry.Counter.add m_kernel_updates (Placement.Kernel.updates st);
-    match !best_set with
-    | Some domains ->
-        of_domains tree ~level domains ~failed_objects:!best ~exact:true
-    | None -> { g with exact = true }
-  end
+  of_search tree ~level
+    (Placement.Adversary.search_exact ?budget ?spawn_depth ?pool m
+       (kernel_of layout tree ~level ~s)
+       ~k:j)
 
-(* Flush a frontier run's statistics into the topology counters, once
-   per search on the calling domain. *)
-let flush_bb_stats (st : Placement.Bb.stats) =
-  Telemetry.Gauge.set m_bb_spawn_depth (float_of_int st.Placement.Bb.spawn_depth);
-  Telemetry.Counter.add m_bb_spawned st.Placement.Bb.spawned_tasks;
-  Telemetry.Counter.add m_bb_nodes st.Placement.Bb.nodes;
-  Telemetry.Counter.add m_bb_leaves st.Placement.Bb.leaves;
-  Telemetry.Counter.add m_bb_prunes st.Placement.Bb.prunes;
-  Telemetry.Counter.add m_bb_improves st.Placement.Bb.improvements;
-  Telemetry.Counter.add m_bb_completions st.Placement.Bb.completions;
-  Telemetry.Counter.add m_bb_pubs st.Placement.Bb.bound_publications;
-  Telemetry.Counter.add m_bb_steals st.Placement.Bb.steals;
-  Telemetry.Counter.add m_bb_kernel_updates st.Placement.Bb.kernel_updates;
-  Telemetry.Counter.add m_kernel_undos st.Placement.Bb.undos;
-  Telemetry.Histogram.observe m_kernel_undo_depth st.Placement.Bb.max_undo_depth
-
-(* The shared frontier (Placement.Bb, DESIGN.md §15) over the domain
-   kernel: greedy seeds the incumbent, prefix tasks cut at a
-   deterministic spawn depth drain through work stealing under one
-   global node budget, and the merge reports the lexicographically
-   smallest optimal domain set at any -j.  On budget exhaustion the
-   result deterministically falls back to the greedy attack. *)
-let exact ?(budget = 50_000_000) ?spawn_depth ?pool layout ~s tree ~level ~j =
-  check layout tree ~level ~j;
-  if j = 0 then
-    of_domains tree ~level [||] ~failed_objects:0 ~exact:true
-  else begin
-    let kn0 = kernel_of layout tree ~level ~s in
-    let g = greedy ?pool layout ~s tree ~level ~j in
-    let r =
-      Placement.Bb.search ?pool ?spawn_depth ~budget ~kernel:kn0 ~k:j
-        ~seed:g.failed_objects ()
-    in
-    flush_bb_stats r.Placement.Bb.stats;
-    if r.Placement.Bb.truncated then begin
-      Telemetry.Counter.incr m_bb_truncations;
-      { g with exact = false }
-    end
-    else
-      match r.Placement.Bb.set with
-      | Some domains ->
-          of_domains tree ~level domains
-            ~failed_objects:r.Placement.Bb.value ~exact:true
-      | None -> { g with exact = true }
-  end
-
-let attack ?pool ?budget ?(exhaustive_limit = 20_000) layout ~s tree ~level ~j =
+let attack ?pool ?budget layout ~s tree ~level ~j =
   Telemetry.Span.time m_attack_span @@ fun () ->
-  check layout tree ~level ~j;
-  let small =
-    match Failset.count tree ~level ~j with
-    | Some c -> c <= exhaustive_limit
-    | None -> false
-  in
-  if small then begin
-    Telemetry.Counter.incr m_attack_exh;
-    exhaustive layout ~s tree ~level ~j
-  end
-  else begin
-    Telemetry.Counter.incr m_attack_bb;
-    let result = exact ?budget ?pool layout ~s tree ~level ~j in
-    if not result.exact then
-      Log.warn (fun m ->
-          m
-            "domain adversary exhausted its global node budget at level %S \
-             j=%d: reporting the greedy attack as a heuristic"
-            (Tree.level_name tree level) j);
-    result
-  end
+  let result = exact ?budget ?pool layout ~s tree ~level ~j in
+  if not result.exact then
+    Log.warn (fun m ->
+        m
+          "domain adversary exhausted its global node budget at level %S \
+           j=%d: reporting the greedy attack as a heuristic"
+          (Tree.level_name tree level) j);
+  result
 
 let avail layout attack = Placement.Layout.b layout - attack.failed_objects

@@ -7,14 +7,13 @@
     rack-level adversary therefore {e is} the node adversary and finds
     the same availability.
 
-    Search discipline (identical to {!Placement.Adversary}, see
-    DESIGN.md §6/§9/§15): exhaustive enumeration when [C(domains, j)]
-    is small, otherwise the work-stealing sharded B&B frontier
-    ({!Placement.Bb}) over the domain kernel — prefix tasks cut at a
-    deterministic spawn depth, one global node budget, pruning against
-    the shared {!Engine.Bound} incumbent, and a (value, lexicographic)
-    merge — so the reported attack is bit-identical at any [-j] even
-    though the explored node set is not. *)
+    The search is the node adversary's own
+    ({!Placement.Adversary.search_greedy} and
+    {!Placement.Adversary.search_exact}, DESIGN.md §9/§15) over a
+    kernel whose units are the domains, so the reported attack is
+    bit-identical at any [-j] even though the branch-and-bound's
+    explored node set is not.  Telemetry lands under
+    [topology/adversary/...]. *)
 
 type attack = {
   failed_domains : int array;  (** chosen domain ids, ascending *)
@@ -22,6 +21,11 @@ type attack = {
   failed_objects : int;
   exact : bool;  (** false only when the global node budget ran out *)
 }
+
+val kernel_of :
+  Placement.Layout.t -> Tree.t -> level:int -> s:int -> Placement.Kernel.t
+(** The all-up attack kernel whose units are the domains at [level]:
+    row [d] holds one entry per replica inside domain [d]. *)
 
 val eval :
   Placement.Layout.t -> s:int -> Tree.t -> level:int -> int array -> int
@@ -32,14 +36,8 @@ val greedy :
   Placement.Layout.t -> s:int -> Tree.t -> level:int -> j:int -> attack
 (** Pick domains one at a time by marginal damage ([exact = false]).
     Runs sharded CELF over the domain kernel
-    ({!Placement.Kernel.select_greedy_sharded}); picks and statistics
-    are bit-identical at any [pool] size. *)
-
-val exhaustive :
-  Placement.Layout.t -> s:int -> Tree.t -> level:int -> j:int -> attack
-(** Sequential enumeration of every [j]-subset of domains in
-    lexicographic order, greedy-seeded with strict improvement; always
-    exact.  Meant for small [C(domains, j)] — {!attack} dispatches. *)
+    ({!Placement.Kernel.select_greedy}); picks and statistics are
+    bit-identical at any [pool] size. *)
 
 val exact :
   ?budget:int ->
@@ -50,18 +48,19 @@ val exact :
     ([budget]: ONE global search-node allowance, default 5e7, drawn in
     blocks by the work-stealing tasks; [spawn_depth] forces the task
     cut, clamped to [1, j] — tests only, [j] is the sequential
-    reference).  Returns the same attack as {!exhaustive} whenever it
-    completes ([exact = true]); on budget exhaustion it falls back to
-    the greedy attack with [exact = false], deterministically. *)
+    reference).  When it completes ([exact = true]) the attack is the
+    lexicographically first optimal domain set, or the greedy one when
+    nothing strictly beats it — exactly what a greedy-seeded strict
+    enumeration of every subset returns; on budget exhaustion it falls
+    back to the greedy attack with [exact = false],
+    deterministically. *)
 
 val attack :
   ?pool:Engine.Pool.t ->
   ?budget:int ->
-  ?exhaustive_limit:int ->
   Placement.Layout.t -> s:int -> Tree.t -> level:int -> j:int -> attack
-(** Dispatch: {!exhaustive} when [C(domains, j) <= exhaustive_limit]
-    (default 20,000), else {!exact}.  Telemetry lands under
-    [topology/adversary/...].
+(** {!exact} under the [topology/adversary/attack] span, logging a
+    warning (source ["topology.adversary"]) when the budget ran out.
     @raise Invalid_argument when the layout and tree disagree on [n],
     or [j] is out of range. *)
 

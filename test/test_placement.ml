@@ -867,9 +867,9 @@ let test_kernel_check_bitset_vs_scratch =
 
 let test_kernel_sharded_identical =
   (* Forcing shards > 1 on instances far below the automatic sharding
-     threshold: the sharded reduce must reproduce the sequential scan's
-     picks (and hence final killed) exactly, pool or no pool. *)
-  qtest ~count:60 "select_greedy_sharded = select_greedy, forced shards"
+     threshold: the picks (and hence final killed) must not depend on
+     the shard count. *)
+  qtest ~count:60 "select_greedy picks independent of shard count"
     QCheck2.Gen.(
       let* layout = layout_gen in
       let* s = int_range 1 layout.Placement.Layout.r in
@@ -880,10 +880,8 @@ let test_kernel_sharded_identical =
       let picks = min picks layout.Placement.Layout.n in
       let seq = Placement.Kernel.make layout ~s in
       let sh = Placement.Kernel.make layout ~s in
-      let seq_picks, _ = Placement.Kernel.select_greedy seq ~picks in
-      let sh_picks, _ =
-        Placement.Kernel.select_greedy_sharded ~shards sh ~picks
-      in
+      let seq_picks, _ = Placement.Kernel.select_greedy ~shards:1 seq ~picks in
+      let sh_picks, _ = Placement.Kernel.select_greedy ~shards sh ~picks in
       seq_picks = sh_picks
       && Placement.Kernel.killed seq = Placement.Kernel.killed sh)
 
@@ -988,6 +986,41 @@ let test_kernel_dyn_oracle =
         assert (stats = stats_ref)
       done;
       true)
+
+(* The same parity at a unit count where the CELF driver shards: both
+   arms run default_shards 1100 > 1 heaps, so picks, damage and stats
+   must still agree — after deletes have left Dyn's degree high-water
+   mark above the live maximum, and with units failed (the attack
+   starts from all-up regardless). *)
+let test_kernel_dyn_sharded () =
+  let units = 1100 and s = 2 and k = 8 in
+  Alcotest.(check bool) "shards" true
+    (Placement.Kernel.default_shards units > 1);
+  let rng = Combin.Rng.create 42 in
+  let dyn = Placement.Kernel.Dyn.create ~units ~s in
+  for _ = 1 to 500 do
+    ignore
+      (Placement.Kernel.Dyn.add_object dyn
+         (Combin.Rng.sample_distinct rng ~n:units ~k:3))
+  done;
+  (* Hot units: enough shared replicas that greedy has real work. *)
+  for i = 0 to 99 do
+    ignore (Placement.Kernel.Dyn.add_object dyn [| i mod 7; 7 + (i mod 5); 600 + i |])
+  done;
+  for _ = 1 to 150 do
+    ignore
+      (Placement.Kernel.Dyn.remove_object dyn
+         (Combin.Rng.int rng (Placement.Kernel.Dyn.objects dyn)))
+  done;
+  List.iter (Placement.Kernel.Dyn.fail_unit dyn) [ 3; 700; 1099 ];
+  let picks, dead, stats = Placement.Kernel.Dyn.worst_case dyn ~k in
+  let frozen = Placement.Kernel.Dyn.freeze dyn in
+  Placement.Kernel.reset frozen;
+  let picks_ref, stats_ref = Placement.Kernel.select_greedy frozen ~picks:k in
+  Alcotest.(check (array int)) "picks" picks_ref picks;
+  Alcotest.(check int) "dead" (Placement.Kernel.killed frozen) dead;
+  Alcotest.(check bool) "stats" true (stats = stats_ref);
+  Alcotest.(check bool) "kills something" true (dead > 0)
 
 let test_kernel_dyn_guards () =
   let dyn = Placement.Kernel.Dyn.create ~units:4 ~s:2 in
@@ -1461,6 +1494,8 @@ let () =
             test_kernel_group_packed_base;
           Alcotest.test_case "add/remove guards" `Quick test_kernel_double_add;
           test_kernel_dyn_oracle;
+          Alcotest.test_case "Dyn ≡ from-scratch, sharded" `Quick
+            test_kernel_dyn_sharded;
           Alcotest.test_case "dyn guards" `Quick test_kernel_dyn_guards;
           Alcotest.test_case "dyn swap-remove" `Quick
             test_kernel_dyn_swap_remove;

@@ -195,6 +195,28 @@ let test_values_adversary_local_search () =
         (Placement.Adversary.local_search ~rng:(Combin.Rng.create 7) ?pool
            ~restarts:6 layout ~s:2 ~k:4))
 
+let test_values_adversary_greedy_sharded () =
+  (* 1100 nodes: above the 1024-unit threshold, so the CELF driver
+     really shards and its per-shard statistics must still sum to the
+     same Stable counters at any -j. *)
+  let inst = Placement.Instance.make ~b:3000 ~r:3 ~s:2 ~n:1100 ~k:6 () in
+  let layout =
+    Placement.Instance.random_layout ~rng:(Combin.Rng.create 5) inst
+  in
+  Alcotest.(check bool) "instance shards" true
+    (Placement.Kernel.default_shards 1100 > 1);
+  check_j_independent "greedy sharded" (fun pool ->
+      ignore (Placement.Adversary.greedy ?pool layout ~s:2 ~k:6))
+
+let test_values_topology_exact () =
+  let inst = Placement.Instance.make ~b:80 ~r:3 ~s:2 ~n:24 ~k:3 () in
+  let layout =
+    Placement.Instance.random_layout ~rng:(Combin.Rng.create 7) inst
+  in
+  let tree = Topology.Build.regular ~racks:8 ~nodes_per_rack:3 in
+  check_j_independent "topology exact" (fun pool ->
+      ignore (Topology.Adversary.exact ?pool layout ~s:2 tree ~level:1 ~j:3))
+
 let test_values_montecarlo () =
   let p = Placement.Params.make ~b:150 ~r:3 ~s:2 ~n:31 ~k:3 in
   check_j_independent "montecarlo" (fun pool ->
@@ -258,6 +280,10 @@ let () =
           Alcotest.test_case "adversary exact -j" `Quick test_values_adversary_exact;
           Alcotest.test_case "local search -j" `Quick
             test_values_adversary_local_search;
+          Alcotest.test_case "greedy sharded -j" `Quick
+            test_values_adversary_greedy_sharded;
+          Alcotest.test_case "topology exact -j" `Quick
+            test_values_topology_exact;
           Alcotest.test_case "montecarlo -j" `Quick test_values_montecarlo;
           Alcotest.test_case "experiment grid -j" `Quick
             test_values_experiment_grid;

@@ -131,22 +131,85 @@ let fig4_layout ~n ~b ~k =
   let inst = Placement.Instance.make ~b ~r:3 ~s:2 ~n ~k () in
   Placement.Instance.combo_layout inst
 
+(* The branch-and-bound oracle: sequential enumeration of every
+   j-subset of domains in lexicographic order over the domain kernel,
+   greedy-seeded with strict improvement — the tie rule the frontier
+   must reproduce. *)
+let exhaustive layout ~s tree ~level ~j =
+  let g = Topology.Adversary.greedy layout ~s tree ~level ~j in
+  let st = Topology.Adversary.kernel_of layout tree ~level ~s in
+  let best = ref g.Topology.Adversary.failed_objects and best_set = ref None in
+  let nd = Topology.Tree.domain_count tree ~level in
+  let current = Array.make j 0 in
+  let rec go start depth =
+    if depth = j then begin
+      if Placement.Kernel.killed st > !best then begin
+        best := Placement.Kernel.killed st;
+        best_set := Some (Array.copy current)
+      end
+    end
+    else
+      for d = start to nd - (j - depth) do
+        current.(depth) <- d;
+        Placement.Kernel.add st d;
+        go (d + 1) (depth + 1);
+        Placement.Kernel.remove st d
+      done
+  in
+  go 0 0;
+  match !best_set with
+  | Some domains ->
+      {
+        Topology.Adversary.failed_domains = domains;
+        failed_nodes = Topology.Failset.nodes tree ~level domains;
+        failed_objects = !best;
+        exact = true;
+      }
+  | None -> { g with Topology.Adversary.exact = true }
+
 let test_adversary_flat_equals_node () =
   (* On a flat tree the rack adversary IS the node adversary: same
-     availability on the Fig. 4 design points. *)
+     availability on the Fig. 4 design points — and, one search under
+     two prefixes, the same Stable search counters. *)
+  let stable =
+    [
+      "greedy/marginal_evals";
+      "kernel/heap_pops";
+      "kernel/stale_reevals";
+      "bb/spawned_tasks";
+    ]
+  in
+  let count prefix name =
+    Telemetry.Counter.value
+      (Telemetry.Registry.counter (prefix ^ "/adversary/" ^ name))
+  in
+  Telemetry.Control.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.Control.set_enabled false;
+      Telemetry.Registry.reset ())
+  @@ fun () ->
   List.iter
     (fun (n, b, k) ->
+      let name = Printf.sprintf "n=%d b=%d k=%d" n b k in
       let layout = fig4_layout ~n ~b ~k in
       let flat = Topology.Build.flat n in
+      Telemetry.Registry.reset ();
       let rack = Topology.Adversary.attack layout ~s:2 flat ~level:1 ~j:k in
       let node = Placement.Adversary.exact layout ~s:2 ~k in
-      Alcotest.(check int)
-        (Printf.sprintf "n=%d b=%d k=%d" n b k)
+      Alcotest.(check int) name
         (Placement.Adversary.avail layout ~s:2 node)
         (Topology.Adversary.avail layout rack);
       Alcotest.(check (array int)) "same node set"
         node.Placement.Adversary.failed_nodes
-        rack.Topology.Adversary.failed_nodes)
+        rack.Topology.Adversary.failed_nodes;
+      Alcotest.(check bool) (name ^ ": greedy counted") true
+        (count "core" "greedy/marginal_evals" > 0);
+      List.iter
+        (fun c ->
+          Alcotest.(check int) (name ^ " " ^ c) (count "core" c)
+            (count "topology" c))
+        stable)
     [ (31, 600, 3); (31, 600, 4); (71, 2400, 3) ]
 
 let test_adversary_exhaustive_vs_bb =
@@ -159,7 +222,7 @@ let test_adversary_exhaustive_vs_bb =
       let layout = Placement.Instance.random_layout ~rng inst in
       let tree = Topology.Build.regular ~racks:4 ~nodes_per_rack:3 in
       let j = 1 + (seed mod 3) in
-      let ex = Topology.Adversary.exhaustive layout ~s:2 tree ~level:1 ~j in
+      let ex = exhaustive layout ~s:2 tree ~level:1 ~j in
       let bb = Topology.Adversary.exact layout ~s:2 tree ~level:1 ~j in
       ex.Topology.Adversary.exact && bb.Topology.Adversary.exact
       && ex.Topology.Adversary.failed_objects
@@ -168,8 +231,7 @@ let test_adversary_exhaustive_vs_bb =
          = bb.Topology.Adversary.failed_domains)
 
 let test_adversary_jobs_identical =
-  (* Determinism contract: -j 1 and -j 4 produce bit-identical attacks,
-     through both dispatch paths. *)
+  (* Determinism contract: -j 1 and -j 4 produce bit-identical attacks. *)
   qtest ~count:10 "-j1 = -j4"
     QCheck2.Gen.(int_range 0 1000)
     (fun seed ->
@@ -178,14 +240,10 @@ let test_adversary_jobs_identical =
       let layout = Placement.Instance.random_layout ~rng inst in
       let tree = Topology.Build.regular ~racks:8 ~nodes_per_rack:3 in
       let j = 2 + (seed mod 2) in
-      let seq =
-        Topology.Adversary.attack ~exhaustive_limit:0 layout ~s:2 tree ~level:1
-          ~j
-      in
+      let seq = Topology.Adversary.attack layout ~s:2 tree ~level:1 ~j in
       let par =
         Engine.Pool.with_pool ~domains:4 (fun pool ->
-            Topology.Adversary.attack ~pool ~exhaustive_limit:0 layout ~s:2
-              tree ~level:1 ~j)
+            Topology.Adversary.attack ~pool layout ~s:2 tree ~level:1 ~j)
       in
       seq.Topology.Adversary.failed_domains
       = par.Topology.Adversary.failed_domains
@@ -202,7 +260,7 @@ let test_adversary_frontier_spawn_depths () =
   let layout = Placement.Instance.random_layout ~rng inst in
   let tree = Topology.Build.regular ~racks:8 ~nodes_per_rack:3 in
   let j = 3 in
-  let oracle = Topology.Adversary.exhaustive layout ~s:2 tree ~level:1 ~j in
+  let oracle = exhaustive layout ~s:2 tree ~level:1 ~j in
   List.iter
     (fun spawn_depth ->
       let check_attack name (a : Topology.Adversary.attack) =
@@ -235,7 +293,7 @@ let test_adversary_greedy_le_exact =
       let tree = Topology.Build.partition ~n:12 ~domains:5 () in
       let j = 1 + (seed mod 3) in
       let g = Topology.Adversary.greedy layout ~s:2 tree ~level:1 ~j in
-      let e = Topology.Adversary.exhaustive layout ~s:2 tree ~level:1 ~j in
+      let e = exhaustive layout ~s:2 tree ~level:1 ~j in
       g.Topology.Adversary.failed_objects
       <= e.Topology.Adversary.failed_objects)
 
