@@ -20,9 +20,8 @@
 
     Grid sweeps should build one instance per (n, r, s) table and derive
     each (b, k) cell with {!with_cell}: the binomial rows and the registry
-    scan are then paid once per table instead of once per cell (see
-    [bench/main.exe perf], which tracks the measured speedup in
-    [BENCH_analysis.json]). *)
+    scan are then paid once per table instead of once per cell
+    (EXPERIMENTS.md records the measured speedup). *)
 
 type t
 

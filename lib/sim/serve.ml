@@ -130,22 +130,26 @@ let run ?max_events ?snapshot_every ?(timeout = 0.) session ~input ~output =
               (match resp with Api.Applied _ -> snapshot () | _ -> ()))
     end
   in
-  (* Line framing over raw reads: accumulate chunks, split on '\n'.  A
-     trailing unterminated line is still processed at EOF. *)
+  (* Line framing over raw reads: [pending] holds the bytes of the
+     current unterminated line.  Each read is scanned for '\n' once and
+     only complete lines are copied out, so a line of L bytes costs
+     O(L) however many reads it spans.  A trailing unterminated line is
+     still processed at EOF. *)
   let pending = Buffer.create 256 in
   let chunk = Bytes.create 65536 in
-  let drain_pending_lines () =
-    let data = Buffer.contents pending in
-    Buffer.clear pending;
-    let rec go start =
-      match String.index_from_opt data start '\n' with
-      | Some nl ->
-          handle_line (String.sub data start (nl - start));
-          go (nl + 1)
-      | None ->
-          Buffer.add_substring pending data start (String.length data - start)
+  let take_lines n =
+    let rec go start i =
+      if i = n then Buffer.add_subbytes pending chunk start (n - start)
+      else if Bytes.get chunk i = '\n' then begin
+        Buffer.add_subbytes pending chunk start (i - start);
+        let line = Buffer.contents pending in
+        Buffer.clear pending;
+        handle_line line;
+        go (i + 1) (i + 1)
+      end
+      else go start (i + 1)
     in
-    go 0
+    go 0 0
   in
   (try
      let eof = ref false in
@@ -172,17 +176,12 @@ let run ?max_events ?snapshot_every ?(timeout = 0.) session ~input ~output =
            | `Ready -> (
                match Unix.read input chunk 0 (Bytes.length chunk) with
                | 0 -> eof := true
-               | n ->
-                   Buffer.add_subbytes pending chunk 0 n;
-                   drain_pending_lines ()
+               | n -> take_lines n
                | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
        end
      done;
      (* Drain: answer what was already buffered, even on a signal. *)
-     if Buffer.length pending > 0 then begin
-       Buffer.add_char pending '\n';
-       drain_pending_lines ()
-     end
+     if Buffer.length pending > 0 then handle_line (Buffer.contents pending)
    with Peer_gone -> finish Eof);
   let reason =
     match !finished with Some reason -> reason | None -> Eof

@@ -2,9 +2,9 @@
 
     Telemetry is disabled by default: every instrumentation primitive
     ({!Counter.add}, {!Span.time}, ...) starts with one atomic-bool read
-    and branches away, so dormant instrumentation costs nanoseconds (the
-    [telemetry_overhead] row of [BENCH_telemetry.json] tracks this
-    against the <5% budget).  Tracing is a second, independent switch:
+    and branches away, so dormant instrumentation costs nanoseconds
+    ([profbench/] reports the traced-vs-untraced cost as
+    [trace.overhead_pct]).  Tracing is a second, independent switch:
     span *aggregates* are collected whenever telemetry is on, but
     per-call trace events are buffered only when tracing is also on. *)
 

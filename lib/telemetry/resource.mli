@@ -1,8 +1,7 @@
 (** Process resource gauges (Linux, via [/proc/self/status]).
 
     One sample point today: the peak resident set size, the memory
-    headline of the scaling sweep (BENCH_adversary.json) and of the CLI
-    [--metrics] envelope.  Peak RSS is scheduling- and
+    headline of the CLI [--metrics] envelope.  Peak RSS is scheduling- and
     allocator-dependent, so the gauge is {!Control.Volatile} — reported,
     never compared across runs. *)
 

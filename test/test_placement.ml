@@ -1416,7 +1416,14 @@ let test_with_cell_matches_fresh =
         && cc.Placement.Combo.assigned = cf.Placement.Combo.assigned
         && cc.Placement.Combo.lb = cf.Placement.Combo.lb
       in
-      choose_agrees && levels_agree && params_agree && combo_agree)
+      (* The cached DP must also agree with plain Combo.optimize (default
+         levels, exact binomials recomputed per call). *)
+      let plain_combo_agrees =
+        (Placement.Combo.optimize (Placement.Params.make ~b:b2 ~r ~s ~n ~k:k2)).lb
+        = (Placement.Instance.combo_config cell).Placement.Combo.lb
+      in
+      choose_agrees && levels_agree && params_agree && combo_agree
+      && plain_combo_agrees)
 
 let () =
   Alcotest.run "placement"

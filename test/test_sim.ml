@@ -780,22 +780,15 @@ let test_api_response_lines () =
 (* ------------------------------------------------------------------ *)
 (* Serve: the daemon loop over real file descriptors. *)
 
-let with_serve ?max_events ?snapshot_every ?timeout script f =
-  (* Feed [script] through a pipe, capture the responses from another.
-     Writing the whole script before running is safe here: scripts are
-     tiny against the pipe buffer. *)
-  let in_r, in_w = Unix.pipe ~cloexec:false () in
+let serve_lines ?max_events ?snapshot_every ?timeout input f =
+  (* Run a fresh session over [input], capture the responses from a
+     pipe. *)
   let out_r, out_w = Unix.pipe ~cloexec:false () in
   let session = mk_session () in
-  let script = Bytes.of_string script in
-  let n = Unix.write in_w script 0 (Bytes.length script) in
-  Alcotest.(check int) "script fed whole" (Bytes.length script) n;
-  Unix.close in_w;
   let outcome =
-    Dsim.Serve.run ?max_events ?snapshot_every ?timeout session ~input:in_r
+    Dsim.Serve.run ?max_events ?snapshot_every ?timeout session ~input
       ~output:out_w
   in
-  Unix.close in_r;
   Unix.close out_w;
   let buf = Buffer.create 4096 in
   let chunk = Bytes.create 4096 in
@@ -813,6 +806,18 @@ let with_serve ?max_events ?snapshot_every ?timeout script f =
     |> List.filter (fun l -> l <> "")
   in
   f outcome lines
+
+let with_serve ?max_events ?snapshot_every ?timeout script f =
+  (* Feed [script] through a pipe.  Writing the whole script before
+     running is safe here: scripts are tiny against the pipe buffer. *)
+  let in_r, in_w = Unix.pipe ~cloexec:false () in
+  let script = Bytes.of_string script in
+  let n = Unix.write in_w script 0 (Bytes.length script) in
+  Alcotest.(check int) "script fed whole" (Bytes.length script) n;
+  Unix.close in_w;
+  Fun.protect
+    ~finally:(fun () -> Unix.close in_r)
+    (fun () -> serve_lines ?max_events ?snapshot_every ?timeout in_r f)
 
 let test_serve_eof () =
   with_serve "create\nquery avail\nbogus 1\ncreate" @@ fun outcome lines ->
@@ -874,6 +879,28 @@ let test_serve_timeout () =
     (outcome.Dsim.Serve.reason = Dsim.Serve.Timeout);
   Alcotest.(check bool) "summary still written" true
     (contains ~sub:"\"reason\": \"timeout\"" (Bytes.sub_string buf 0 n))
+
+let test_serve_long_line () =
+  (* A request line longer than the 64 KiB read chunk (padding before
+     and inside it) spans several reads and must be answered exactly
+     like the short line.  A pipe cannot buffer it before [run] starts,
+     so it is fed from a file. *)
+  let answers script =
+    let path = Filename.temp_file "serve" ".in" in
+    Out_channel.with_open_bin path (fun oc -> output_string oc script);
+    let input = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close input;
+        Sys.remove path)
+      (fun () -> serve_lines input (fun _ lines -> lines))
+  in
+  let short = answers "create\nquery avail\n" in
+  Alcotest.(check int) "responses + summary" 3 (List.length short);
+  Alcotest.(check (list string)) "long line answered like the short one" short
+    (answers
+       (let pad = String.make (100 * 1024) ' ' in
+        "create\n" ^ pad ^ "query" ^ pad ^ "avail\n"))
 
 let test_serve_session_persists () =
   (* A socket daemon reuses one session across connections: the second
@@ -970,6 +997,7 @@ let () =
           Alcotest.test_case "max-events" `Quick test_serve_max_events;
           Alcotest.test_case "snapshots" `Quick test_serve_snapshots;
           Alcotest.test_case "timeout" `Quick test_serve_timeout;
+          Alcotest.test_case "long line" `Quick test_serve_long_line;
           Alcotest.test_case "session persists" `Quick
             test_serve_session_persists;
         ] );
