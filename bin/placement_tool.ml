@@ -1,24 +1,5 @@
-(* placement-tool: command-line front end to the replica-placement library.
-
-   Subcommands:
-     plan        compute a placement plan and its availability bound
-     analyze     worst-case analysis of a strategy (Theorem 2 for random)
-     designs     list the design catalogue for given (x, r)
-     gap         chunked capacity plan for a system size (Observation 2)
-     simulate    materialize a placement and attack it
-     attack      attack an exported layout, or a strategy directly
-     churn       replay an event stream through the continuous placement
-                 engine with per-event incremental worst-case re-scoring
-     strategies  list the registered placement strategies
-     recommend   cheapest (r, s) meeting an availability target
-     topology    parse and describe a fault-domain topology spec
-
-   Placement families are dispatched through the Placement.Strategies
-   registry: every subcommand taking --strategy accepts any registered
-   name and rejects unknown ones with the list of those available.
-   --topology SPEC on plan/analyze/attack/simulate installs a
-   fault-domain tree: the spread strategies plan against it and the
-   domain adversary reports the worst j same-level domain failures. *)
+(* placement-tool: command-line front end to the replica-placement
+   library.  The command table at the end lists the subcommands. *)
 
 open Cmdliner
 
@@ -34,12 +15,16 @@ let die msg =
   Fmt.epr "%s@." msg;
   exit 1
 
-(* Shared arguments, paper notation. *)
-let n_arg =
-  Arg.(required & opt (some int) None & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
+let require_non_negative flag what v =
+  if v < 0 then die (Printf.sprintf "%s %d: %s must be non-negative" flag v what)
 
-let b_arg =
-  Arg.(required & opt (some int) None & info [ "b"; "objects" ] ~docv:"B" ~doc:"Number of objects.")
+(* Shared arguments, paper notation.  -n and -b are required by the
+   commands that only take explicit sizes and optional where another
+   source (a layout file, --random) can supply them. *)
+let n_info = Arg.info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes."
+let b_info = Arg.info [ "b"; "objects" ] ~docv:"B" ~doc:"Number of objects."
+let n_arg = Arg.(required & opt (some int) None & n_info)
+let b_arg = Arg.(required & opt (some int) None & b_info)
 
 let r_arg =
   Arg.(value & opt int 3 & info [ "r"; "replicas" ] ~docv:"R" ~doc:"Replicas per object.")
@@ -54,14 +39,24 @@ let s_arg =
 let k_arg =
   Arg.(value & opt int 2 & info [ "k"; "failures" ] ~docv:"K" ~doc:"Number of node failures planned for.")
 
+let seed_arg ~default ~doc =
+  Arg.(value & opt int default & info [ "seed" ] ~docv:"SEED" ~doc)
+
+let measure_every_arg ~default ~doc =
+  Arg.(value & opt int default & info [ "measure-every" ] ~docv:"E" ~doc)
+
+let objects_error b =
+  Printf.sprintf "b = %d: -b/--objects must be a positive object count" b
+
+let replicas_error r =
+  Printf.sprintf "r = %d: -r/--replicas must be a positive replica count" r
+
 (* Explicit, flag-naming rejections for the parameter mistakes users
    actually make; Params.validate remains the backstop for the rest. *)
 let validate_params ~n ~b ~r ~s ~k =
   let err fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
-  if b <= 0 then
-    err "b = %d: -b/--objects must be a positive object count" b
-  else if r <= 0 then
-    err "r = %d: -r/--replicas must be a positive replica count" r
+  if b <= 0 then Error (objects_error b)
+  else if r <= 0 then Error (replicas_error r)
   else if s < 1 then
     err "s = %d: -s/--fatal must be at least 1 (one replica loss can always be fatal)" s
   else if s > r then
@@ -87,12 +82,20 @@ let validate_params ~n ~b ~r ~s ~k =
       k s
   else Placement.Params.validate { Placement.Params.b; r; s; n; k }
 
+(* A failed check as a cmdliner term error (exit 124, prefixed with the
+   tool name) ... *)
+let ret_params = function
+  | Ok v -> `Ok v
+  | Error msg -> `Error (false, "invalid parameters: " ^ msg)
+
+(* ... or, inside a subcommand body, as a bare message with exit 1. *)
+let check_params ~n ~b ~r ~s ~k =
+  match validate_params ~n ~b ~r ~s ~k with
+  | Ok p -> p
+  | Error msg -> die ("invalid parameters: " ^ msg)
+
 let params_term =
-  let combine n b r s k =
-    match validate_params ~n ~b ~r ~s ~k with
-    | Ok p -> `Ok p
-    | Error msg -> `Error (false, "invalid parameters: " ^ msg)
-  in
+  let combine n b r s k = ret_params (validate_params ~n ~b ~r ~s ~k) in
   Term.(ret (const combine $ n_arg $ b_arg $ r_arg $ s_arg $ k_arg))
 
 let jobs_arg =
@@ -177,7 +180,16 @@ let print_envelope ~command data =
        (Placement.Codec.json_envelope ~command data)
     ^ "\n")
 
-let with_telemetry ~metrics ~trace f =
+(* --metrics/--trace: every subcommand that exports telemetry runs its
+   body under [with_io], so the flags parse, validate and initialize
+   identically everywhere. *)
+type telemetry = { metrics : string option; trace : string option }
+
+let telemetry_term =
+  Term.(const (fun metrics trace -> { metrics; trace }) $ metrics_arg $ trace_arg)
+
+let with_io { metrics; trace } f =
+  setup_logs ();
   match (metrics, trace) with
   | None, None -> f ()
   | _ ->
@@ -206,21 +218,6 @@ let with_telemetry ~metrics ~trace f =
               write_doc path
                 (Telemetry.Json.to_string (Telemetry.Export.trace_json ()) ^ "\n"))
         f
-
-(* The shared per-command I/O surface: every subcommand that emits a
-   machine-readable envelope and/or telemetry threads this one record,
-   so the flags parse, validate and initialize identically everywhere
-   ([with_io] replaces the per-command setup_logs/with_telemetry
-   boilerplate). *)
-type io = { json : bool; metrics : string option; trace : string option }
-
-let io_term =
-  let combine json metrics trace = { json; metrics; trace } in
-  Term.(const combine $ json_flag $ metrics_arg $ trace_arg)
-
-let with_io io f =
-  setup_logs ();
-  with_telemetry ~metrics:io.metrics ~trace:io.trace f
 
 (* --random N,B,R,SEED: a synthetic load-balanced Random instance, the
    scaling workhorse — attack and analyze accept it in place of a layout
@@ -265,22 +262,24 @@ let strategy_arg ~default =
           "Placement strategy (see the $(b,strategies) subcommand for the \
            registered names).")
 
+let find_strategy name =
+  match Placement.Strategies.find name with
+  | Some s -> Ok s
+  | None ->
+      Error
+        (Printf.sprintf "unknown strategy %S; available strategies: %s" name
+           (String.concat ", " (Placement.Strategies.names ())))
+
 let strategy_term ~default =
   let resolve name =
-    match Placement.Strategies.find name with
-    | Some s -> `Ok s
-    | None ->
-        `Error
-          ( false,
-            Printf.sprintf "unknown strategy %S; available strategies: %s" name
-              (String.concat ", " (Placement.Strategies.names ())) )
+    match find_strategy name with Ok s -> `Ok s | Error msg -> `Error (false, msg)
   in
   Term.(ret (const resolve $ strategy_arg ~default))
 
-let plan_layout (module S : Placement.Strategy.S) ?rng inst =
-  try Ok (S.plan ?rng inst) with
+let plan_layout (module S : Placement.Strategy.S) ~rng inst =
+  try S.plan ~rng inst with
   | Placement.Optimal.Too_large ->
-      Error
+      die
         (Printf.sprintf
            "strategy %s: instance too large for exhaustive search (cost %.3g); \
             use a heuristic strategy instead"
@@ -291,9 +290,79 @@ let plan_layout (module S : Placement.Strategy.S) ?rng inst =
               ~b:p.Placement.Params.b))
   | Invalid_argument msg ->
       (* The spread families already prefix their own name. *)
-      Error
+      die
         (if String.starts_with ~prefix:S.name msg then msg
          else Printf.sprintf "strategy %s: %s" S.name msg)
+
+(* ------------------------------------------------------------------ *)
+(* The instance analyze and attack work on.
+
+   Sources: --layout FILE or --strategy NAME with -n/-b (attack),
+   --random N,B,R,SEED (both), or bare -n/-b (analyze).  At most one is
+   given, and (n, b, r, s, k) is validated on every path, with n, b and
+   r read from the layout file or the --random spec where they come
+   from there. *)
+
+type source =
+  | Sized  (* bare -n/-b: parameters only *)
+  | Synthetic of int  (* --random: the PRNG seed *)
+  | File of string * Placement.Layout.t  (* --layout *)
+  | Planned of (module Placement.Strategy.S)  (* --strategy NAME -n -b *)
+
+type instance_args = {
+  layout : string option;
+  strategy : string option;
+  random : string option;
+  n : int option;
+  b : int option;
+  r : int;
+  s : int;
+  k : int;
+}
+
+let instance_term ?(layout = Term.const None) ?(strategy = Term.const None) ()
+    =
+  let size i = Arg.(value & opt (some int) None & i) in
+  let make layout strategy random n b r s k =
+    { layout; strategy; random; n; b; r; s; k }
+  in
+  Term.(
+    const make $ layout $ strategy $ random_arg $ size n_info $ size b_info
+    $ r_arg $ s_arg $ k_arg)
+
+(* [missing] is the complaint when no source (not even -n and -b) is
+   given. *)
+let resolve_instance ~missing a =
+  if List.length (List.filter Option.is_some [ a.layout; a.strategy; a.random ]) > 1
+  then die "pass only one of --layout, --strategy and --random";
+  let params ~n ~b ~r = check_params ~n ~b ~r ~s:a.s ~k:a.k in
+  let sized complaint =
+    match (a.n, a.b) with
+    | Some n, Some b -> params ~n ~b ~r:a.r
+    | _ -> die complaint
+  in
+  match (a.random, a.layout, a.strategy) with
+  | Some spec, _, _ -> (
+      match parse_random spec with
+      | Error msg -> die msg
+      | Ok (n, b, r, seed) ->
+          if a.n <> None || a.b <> None then
+            die "--random carries its own N and B; drop -n/-b";
+          (params ~n ~b ~r, Synthetic seed))
+  | None, Some file, _ -> (
+      match Placement.Codec.load file with
+      | Error msg -> die (Printf.sprintf "cannot load %s: %s" file msg)
+      | Ok layout ->
+          ( params ~n:layout.Placement.Layout.n ~b:(Placement.Layout.b layout)
+              ~r:layout.Placement.Layout.r,
+            File (file, layout) ))
+  | None, None, Some name ->
+      let s = match find_strategy name with Ok s -> s | Error msg -> die msg in
+      (sized "--strategy needs -n and -b to size the instance", Planned s)
+  | None, None, None -> (sized missing, Sized)
+
+let synthetic_layout p seed =
+  Placement.Random_placement.place ~rng:(Combin.Rng.create seed) p
 
 (* ------------------------------------------------------------------ *)
 (* Fault-domain topologies (--topology and friends).
@@ -348,6 +417,14 @@ let spread_arg =
         ~doc:
           "Max replicas per domain for the spread strategies (default 1).")
 
+let check_topology_size tree ~n =
+  if Topology.Tree.n tree <> n then
+    die
+      (Printf.sprintf
+         "--topology describes %d nodes but the instance has n = %d; make the \
+          spec's counts multiply out to n"
+         (Topology.Tree.n tree) n)
+
 let resolve_topology ~n topo level_name fail_domains spread =
   match topo with
   | None ->
@@ -355,12 +432,7 @@ let resolve_topology ~n topo level_name fail_domains spread =
         die "--domain-level needs --topology SPEC to name a level of";
       None
   | Some tree ->
-      if Topology.Tree.n tree <> n then
-        die
-          (Printf.sprintf
-             "--topology describes %d nodes but the instance has n = %d; make \
-              the spec's counts multiply out to n"
-             (Topology.Tree.n tree) n);
+      check_topology_size tree ~n;
       let level =
         match level_name with
         | None -> min 1 (Topology.Tree.depth tree - 1)
@@ -389,67 +461,96 @@ let resolve_topology ~n topo level_name fail_domains spread =
       Topology.Strategies.configure ~level ~cap:spread tree;
       Some (tree, level, fail_domains)
 
-let domain_bound_json tree ~level (rep : Topology.Bound.report) =
-  Telemetry.Json.Obj
-    [
-      ("level", Telemetry.Json.Str (Topology.Tree.level_name tree level));
-      ("fail_domains", Telemetry.Json.Int rep.Topology.Bound.j);
-      ("covered_nodes", Telemetry.Json.Int rep.Topology.Bound.covered_nodes);
-      ("naive_nodes", Telemetry.Json.Int rep.Topology.Bound.naive_nodes);
-      ( "guaranteed_available",
-        Telemetry.Json.Int
-          rep.Topology.Bound.si.Placement.Analysis.lb_clamped );
-    ]
+(* plan/analyze under --topology: the Lemma 2 domain-failure bound, as
+   the envelope's "topology" field or a report line. *)
+let domain_bound (p : Placement.Params.t) (tree, level, j) =
+  Topology.Bound.load_report ~b:p.Placement.Params.b ~r:p.Placement.Params.r
+    ~s:p.Placement.Params.s tree ~level ~j
 
-let domain_attack_json tree ~level layout (a : Topology.Adversary.attack) =
-  let ints xs =
-    Telemetry.Json.List (List.map (fun i -> Telemetry.Json.Int i) (Array.to_list xs))
-  in
-  Telemetry.Json.Obj
-    [
-      ("level", Telemetry.Json.Str (Topology.Tree.level_name tree level));
-      ("failed_domains", ints a.Topology.Adversary.failed_domains);
-      ("failed_nodes", ints a.Topology.Adversary.failed_nodes);
-      ("failed_objects", Telemetry.Json.Int a.Topology.Adversary.failed_objects);
-      ("available", Telemetry.Json.Int (Topology.Adversary.avail layout a));
-      ("exact", Telemetry.Json.Bool a.Topology.Adversary.exact);
-    ]
+let domain_bound_fields p = function
+  | None -> []
+  | Some ((tree, level, _) as ctx) ->
+      let rep = domain_bound p ctx in
+      [
+        ( "topology",
+          Telemetry.Json.Obj
+            [
+              ("level", Telemetry.Json.Str (Topology.Tree.level_name tree level));
+              ("fail_domains", Telemetry.Json.Int rep.Topology.Bound.j);
+              ("covered_nodes", Telemetry.Json.Int rep.Topology.Bound.covered_nodes);
+              ("naive_nodes", Telemetry.Json.Int rep.Topology.Bound.naive_nodes);
+              ( "guaranteed_available",
+                Telemetry.Json.Int
+                  rep.Topology.Bound.si.Placement.Analysis.lb_clamped );
+            ] );
+      ]
 
-let print_domain_bound (p : Placement.Params.t) tree ~level ~j =
-  let rep =
-    Topology.Bound.load_report ~b:p.Placement.Params.b ~r:p.Placement.Params.r
-      ~s:p.Placement.Params.s tree ~level ~j
-  in
-  Fmt.pr "  domain failures: worst %d %s(s) cover <= %d node(s); any \
-          load-balanced placement keeps >= %d / %d@."
-    j
-    (Topology.Tree.level_name tree level)
-    rep.Topology.Bound.covered_nodes
-    rep.Topology.Bound.si.Placement.Analysis.lb_clamped p.Placement.Params.b;
-  rep
+let print_domain_bound p = function
+  | None -> ()
+  | Some ((tree, level, j) as ctx) ->
+      let rep = domain_bound p ctx in
+      Fmt.pr "  domain failures: worst %d %s(s) cover <= %d node(s); any \
+              load-balanced placement keeps >= %d / %d@."
+        j
+        (Topology.Tree.level_name tree level)
+        rep.Topology.Bound.covered_nodes
+        rep.Topology.Bound.si.Placement.Analysis.lb_clamped p.Placement.Params.b
 
-let print_domain_attack tree ~level ~j layout atk =
-  Fmt.pr "  domain adversary (worst %d %s(s)):@." j
-    (Topology.Tree.level_name tree level);
-  Fmt.pr "    failed domains: %a@."
-    Fmt.(brackets (array ~sep:comma int))
-    atk.Topology.Adversary.failed_domains;
-  Fmt.pr "    failed nodes: %a@."
-    Fmt.(brackets (array ~sep:comma int))
-    atk.Topology.Adversary.failed_nodes;
-  Fmt.pr "    available: %d / %d (adversary %s)@."
-    (Topology.Adversary.avail layout atk)
-    (Placement.Layout.b layout)
-    (if atk.Topology.Adversary.exact then "exact" else "heuristic")
+(* attack/simulate: the node adversary and, under --topology, the domain
+   adversary, both on one pool. *)
+let run_attacks ?rng jobs layout ~s ~k topo_ctx =
+  with_pool jobs (fun pool ->
+      let atk = Placement.Adversary.attack ?pool ?rng layout ~s ~k in
+      let datk =
+        Option.map
+          (fun (tree, level, j) ->
+            (tree, level, j, Topology.Adversary.attack ?pool layout ~s tree ~level ~j))
+          topo_ctx
+      in
+      (atk, datk))
+
+let domain_attack_fields layout = function
+  | None -> []
+  | Some (tree, level, _, (a : Topology.Adversary.attack)) ->
+      let ints xs =
+        Telemetry.Json.List (List.map (fun i -> Telemetry.Json.Int i) (Array.to_list xs))
+      in
+      [
+        ( "topology",
+          Telemetry.Json.Obj
+            [
+              ("level", Telemetry.Json.Str (Topology.Tree.level_name tree level));
+              ("failed_domains", ints a.Topology.Adversary.failed_domains);
+              ("failed_nodes", ints a.Topology.Adversary.failed_nodes);
+              ("failed_objects", Telemetry.Json.Int a.Topology.Adversary.failed_objects);
+              ("available", Telemetry.Json.Int (Topology.Adversary.avail layout a));
+              ("exact", Telemetry.Json.Bool a.Topology.Adversary.exact);
+            ] );
+      ]
+
+let print_domain_attack layout = function
+  | None -> ()
+  | Some (tree, level, j, atk) ->
+      Fmt.pr "  domain adversary (worst %d %s(s)):@." j
+        (Topology.Tree.level_name tree level);
+      Fmt.pr "    failed domains: %a@."
+        Fmt.(brackets (array ~sep:comma int))
+        atk.Topology.Adversary.failed_domains;
+      Fmt.pr "    failed nodes: %a@."
+        Fmt.(brackets (array ~sep:comma int))
+        atk.Topology.Adversary.failed_nodes;
+      Fmt.pr "    available: %d / %d (adversary %s)@."
+        (Topology.Adversary.avail layout atk)
+        (Placement.Layout.b layout)
+        (if atk.Topology.Adversary.exact then "exact" else "heuristic")
 
 (* ------------------------------------------------------------------ *)
 (* plan *)
 
 let plan_term =
   let run (p : Placement.Params.t) topo level_name fail_domains spread
-      (module S : Placement.Strategy.S) io =
-    with_io io @@ fun () ->
-    let json = io.json in
+      (module S : Placement.Strategy.S) json tel =
+    with_io tel @@ fun () ->
     let topo_ctx =
       resolve_topology ~n:p.Placement.Params.n topo level_name fail_domains
         spread
@@ -465,24 +566,12 @@ let plan_term =
               ("report", Placement.Codec.report_json report);
               ("pr_avail", Telemetry.Json.Int pr_avail);
             ]
-           @
-           match topo_ctx with
-           | None -> []
-           | Some (tree, level, j) ->
-               let rep =
-                 Topology.Bound.load_report ~b:p.Placement.Params.b
-                   ~r:p.Placement.Params.r ~s:p.Placement.Params.s tree ~level
-                   ~j
-               in
-               [ ("topology", domain_bound_json tree ~level rep) ]))
+           @ domain_bound_fields p topo_ctx))
     end
     else begin
       Fmt.pr "%s placement plan for %a@." display Placement.Params.pp p;
       List.iter (fun line -> Fmt.pr "  %s@." line) (S.explain inst);
-      (match topo_ctx with
-      | None -> ()
-      | Some (tree, level, j) ->
-          ignore (print_domain_bound p tree ~level ~j));
+      print_domain_bound p topo_ctx;
       match S.lower_bound inst with
       | None ->
           Fmt.pr "no worst-case guarantee for this strategy (probabilistic only)@.";
@@ -505,61 +594,32 @@ let plan_term =
   in
   Term.(
     const run $ params_term $ topology_term $ domain_level_arg
-    $ fail_domains_arg $ spread_arg $ strategy_term ~default:"combo" $ io_term)
+    $ fail_domains_arg $ spread_arg $ strategy_term ~default:"combo" $ json_flag
+    $ telemetry_term)
 
 (* ------------------------------------------------------------------ *)
 (* analyze *)
 
 let analyze_term =
-  let n_opt =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
-  in
-  let b_opt =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "b"; "objects" ] ~docv:"B" ~doc:"Number of objects.")
-  in
-  let run n b r s k random topo level_name fail_domains spread
-      (module S : Placement.Strategy.S) io =
-    with_io io @@ fun () ->
-    let json = io.json in
-    (* --random supplies (n, b, r) and additionally materializes one
-       seeded instance so the analytic prAvail can be read next to a
-       realized greedy attack. *)
-    let p, synth_seed =
-      match random with
-      | Some spec -> (
-          match parse_random spec with
-          | Error msg -> die msg
-          | Ok (rn, rb, rr, rseed) -> (
-              if n <> None || b <> None then
-                die "--random carries its own N and B; drop -n/-b";
-              match validate_params ~n:rn ~b:rb ~r:rr ~s ~k with
-              | Error msg -> die ("invalid parameters: " ^ msg)
-              | Ok p -> (p, Some rseed)))
-      | None -> (
-          match (n, b) with
-          | Some n, Some b -> (
-              match validate_params ~n ~b ~r ~s ~k with
-              | Error msg -> die ("invalid parameters: " ^ msg)
-              | Ok p -> (p, None))
-          | _ -> die "analyze needs -n and -b (or --random N,B,R,SEED)")
+  let run args topo level_name fail_domains spread
+      (module S : Placement.Strategy.S) json tel =
+    with_io tel @@ fun () ->
+    let p, source =
+      resolve_instance args
+        ~missing:"analyze needs -n and -b (or --random N,B,R,SEED)"
     in
+    (* --random additionally materializes one seeded instance so the
+       analytic prAvail can be read next to a realized greedy attack. *)
     let synth =
-      Option.map
-        (fun seed ->
-          let rng = Combin.Rng.create seed in
-          let layout = Placement.Random_placement.place ~rng p in
+      match source with
+      | Synthetic seed ->
+          let layout = synthetic_layout p seed in
           let atk =
             Placement.Adversary.greedy layout ~s:p.Placement.Params.s
               ~k:p.Placement.Params.k
           in
-          (seed, layout, atk))
-        synth_seed
+          Some (seed, layout, atk)
+      | Sized | File _ | Planned _ -> None
     in
     let topo_ctx =
       resolve_topology ~n:p.Placement.Params.n topo level_name fail_domains
@@ -598,90 +658,96 @@ let analyze_term =
                              ~s:p.Placement.Params.s atk) );
                     ] );
               ])
-        @
-        match topo_ctx with
-        | None -> []
-        | Some (tree, level, j) ->
-            let rep =
-              Topology.Bound.load_report ~b:p.Placement.Params.b
-                ~r:p.Placement.Params.r ~s:p.Placement.Params.s tree ~level ~j
-            in
-            [ ("topology", domain_bound_json tree ~level rep) ]
+        @ domain_bound_fields p topo_ctx
       in
       print_envelope ~command:"analyze" (Telemetry.Json.Obj fields)
     end
     else begin
-      let print_synth () =
-        match synth with
-        | None -> ()
-        | Some (seed, layout, atk) ->
-            Fmt.pr "  synthetic instance (seed %d): max load %d@." seed
-              (Placement.Layout.max_load layout);
-            Fmt.pr "  greedy attack on it leaves: %d / %d@."
-              (Placement.Adversary.avail layout ~s:p.Placement.Params.s atk)
-              p.Placement.Params.b
-      in
       if S.name = "random" then begin
-      let rnd = Placement.Instance.rnd_report inst in
-      Fmt.pr "Worst-case analysis of load-balanced Random placement@.";
-      Fmt.pr "  parameters: %a@." Placement.Params.pp p;
-      Fmt.pr "  per-object kill probability under a fixed worst K: %.3e@."
-        rnd.Placement.Random_analysis.p_fail;
-      Fmt.pr "  prAvail_rnd (Definition 6): %d / %d (%.4f)@."
-        rnd.Placement.Random_analysis.pr_avail p.Placement.Params.b
-        rnd.Placement.Random_analysis.fraction;
-      (match rnd.Placement.Random_analysis.lemma4_upper with
-      | Some u -> Fmt.pr "  Lemma 4 upper bound (s = 1): %.1f@." u
-      | None -> ());
-      print_synth ();
-      match topo_ctx with
+        let rnd = Placement.Instance.rnd_report inst in
+        Fmt.pr "Worst-case analysis of load-balanced Random placement@.";
+        Fmt.pr "  parameters: %a@." Placement.Params.pp p;
+        Fmt.pr "  per-object kill probability under a fixed worst K: %.3e@."
+          rnd.Placement.Random_analysis.p_fail;
+        Fmt.pr "  prAvail_rnd (Definition 6): %d / %d (%.4f)@."
+          rnd.Placement.Random_analysis.pr_avail p.Placement.Params.b
+          rnd.Placement.Random_analysis.fraction;
+        match rnd.Placement.Random_analysis.lemma4_upper with
+        | Some u -> Fmt.pr "  Lemma 4 upper bound (s = 1): %.1f@." u
+        | None -> ()
+      end
+      else begin
+        Fmt.pr "Worst-case analysis of the %s strategy@."
+          (Placement.Strategies.display_name (module S));
+        Fmt.pr "  parameters: %a@." Placement.Params.pp p;
+        List.iter (fun line -> Fmt.pr "  %s@." line) (S.explain inst);
+        (match S.lower_bound inst with
+        | Some lb ->
+            Fmt.pr "  worst-case guarantee (Lemmas 2-3): %d / %d@." lb
+              p.Placement.Params.b
+        | None -> Fmt.pr "  no worst-case guarantee@.");
+        Fmt.pr "  upper bound for any placement: %d / %d@."
+          (Placement.Analysis.ub_avail_any ~b:p.Placement.Params.b
+             ~r:p.Placement.Params.r ~s:p.Placement.Params.s
+             ~n:p.Placement.Params.n ~k:p.Placement.Params.k)
+          p.Placement.Params.b;
+        Fmt.pr "  exact adversary affordable: %b (estimated work %.3g)@."
+          (Placement.Instance.exact_attack_affordable inst)
+          (Placement.Instance.attack_cost inst)
+      end;
+      (match synth with
       | None -> ()
-      | Some (tree, level, j) -> ignore (print_domain_bound p tree ~level ~j)
-    end
-    else begin
-      Fmt.pr "Worst-case analysis of the %s strategy@."
-        (Placement.Strategies.display_name (module S));
-      Fmt.pr "  parameters: %a@." Placement.Params.pp p;
-      List.iter (fun line -> Fmt.pr "  %s@." line) (S.explain inst);
-      (match S.lower_bound inst with
-      | Some lb ->
-          Fmt.pr "  worst-case guarantee (Lemmas 2-3): %d / %d@." lb
-            p.Placement.Params.b
-      | None -> Fmt.pr "  no worst-case guarantee@.");
-      Fmt.pr "  upper bound for any placement: %d / %d@."
-        (Placement.Analysis.ub_avail_any ~b:p.Placement.Params.b
-           ~r:p.Placement.Params.r ~s:p.Placement.Params.s ~n:p.Placement.Params.n
-           ~k:p.Placement.Params.k)
-        p.Placement.Params.b;
-      Fmt.pr "  exact adversary affordable: %b (estimated work %.3g)@."
-        (Placement.Instance.exact_attack_affordable inst)
-        (Placement.Instance.attack_cost inst);
-      print_synth ();
-      match topo_ctx with
-      | None -> ()
-      | Some (tree, level, j) -> ignore (print_domain_bound p tree ~level ~j)
-    end
+      | Some (seed, layout, atk) ->
+          Fmt.pr "  synthetic instance (seed %d): max load %d@." seed
+            (Placement.Layout.max_load layout);
+          Fmt.pr "  greedy attack on it leaves: %d / %d@."
+            (Placement.Adversary.avail layout ~s:p.Placement.Params.s atk)
+            p.Placement.Params.b);
+      print_domain_bound p topo_ctx
     end
   in
   Term.(
-    const run $ n_opt $ b_opt $ r_arg $ s_arg $ k_arg $ random_arg
-    $ topology_term $ domain_level_arg $ fail_domains_arg $ spread_arg
-    $ strategy_term ~default:"random" $ io_term)
+    const run $ instance_term () $ topology_term $ domain_level_arg
+    $ fail_domains_arg $ spread_arg $ strategy_term ~default:"random"
+    $ json_flag $ telemetry_term)
 
 (* ------------------------------------------------------------------ *)
 (* designs *)
 
-let designs_term =
+(* designs and gap: -x/-r name designs of strength x+1 with blocks of r
+   points, so 0 <= x < r. *)
+let design_shape_term =
   let x_arg =
     Arg.(value & opt int 1 & info [ "x" ] ~docv:"X" ~doc:"Overlap bound (strength t = x+1).")
   in
+  let check x r =
+    ret_params
+      (if r <= 0 then Error (replicas_error r)
+       else if x < 0 then
+         Error
+           (Printf.sprintf
+              "x = %d: -x must be at least 0 (the design strength x+1 is at \
+               least 1)"
+              x)
+       else if x >= r then
+         Error
+           (Printf.sprintf
+              "x = %d with r = %d: a design of strength x+1 needs blocks of at \
+               least x+1 points, so -x must satisfy 0 <= x < r (lower -x or \
+               raise -r/--replicas)"
+              x r)
+       else Ok (x, r))
+  in
+  Term.(ret (const check $ x_arg $ r_arg))
+
+let max_mu_arg =
+  Arg.(value & opt int 1 & info [ "max-mu" ] ~docv:"MU" ~doc:"Largest design multiplicity.")
+
+let designs_term =
   let max_v_arg =
     Arg.(value & opt int 100 & info [ "max-v" ] ~docv:"V" ~doc:"Largest design size to list.")
   in
-  let mu_arg =
-    Arg.(value & opt int 1 & info [ "max-mu" ] ~docv:"MU" ~doc:"Largest design multiplicity.")
-  in
-  let run x r max_v max_mu =
+  let run (x, r) max_v max_mu =
     setup_logs ();
     let entries =
       Designs.Registry.entries ~max_mu ~strength:(x + 1) ~block_size:r ~max_v ()
@@ -696,19 +762,13 @@ let designs_term =
            else "[literature]"))
       entries
   in
-  Term.(const run $ x_arg $ r_arg $ max_v_arg $ mu_arg)
+  Term.(const run $ design_shape_term $ max_v_arg $ max_mu_arg)
 
 (* ------------------------------------------------------------------ *)
 (* gap *)
 
 let gap_term =
-  let x_arg =
-    Arg.(value & opt int 1 & info [ "x" ] ~docv:"X" ~doc:"Overlap bound (strength t = x+1).")
-  in
-  let mu_arg =
-    Arg.(value & opt int 1 & info [ "max-mu" ] ~docv:"MU" ~doc:"Largest common multiplicity.")
-  in
-  let run n x r max_mu =
+  let run n (x, r) max_mu =
     setup_logs ();
     match
       Designs.Chunking.best_plan ~max_mu ~strength:(x + 1) ~block_size:r ~n ()
@@ -727,7 +787,7 @@ let gap_term =
              ~lambda:plan.Designs.Chunking.lambda n)
           (Designs.Chunking.capacity_gap ~strength:(x + 1) ~block_size:r ~n plan)
   in
-  Term.(const run $ n_arg $ x_arg $ r_arg $ mu_arg)
+  Term.(const run $ n_arg $ design_shape_term $ max_mu_arg)
 
 (* ------------------------------------------------------------------ *)
 (* attack *)
@@ -745,7 +805,7 @@ let print_attack ~source layout ~s attack =
     (if attack.Placement.Adversary.exact then "exact" else "heuristic")
 
 let attack_term =
-  let file_arg =
+  let layout_arg =
     Arg.(
       value
       & opt (some file) None
@@ -760,90 +820,33 @@ let attack_term =
             "Attack a freshly planned strategy layout instead of a file \
              (requires -n and -b).")
   in
-  let n_opt = Arg.(value & opt (some int) None & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes (with --strategy).") in
-  let b_opt = Arg.(value & opt (some int) None & info [ "b"; "objects" ] ~docv:"B" ~doc:"Number of objects (with --strategy).") in
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed (with --strategy).")
-  in
-  let r_only =
-    Arg.(value & opt int 3 & info [ "r"; "replicas" ] ~docv:"R" ~doc:"Replicas per object (with --strategy).")
-  in
-  let s_only =
-    Arg.(value & opt int 2 & info [ "s"; "fatal" ] ~docv:"S" ~doc:"Fatality threshold.")
-  in
-  let k_only =
-    Arg.(value & opt int 2 & info [ "k"; "failures" ] ~docv:"K" ~doc:"Nodes to fail.")
-  in
-  let run file strategy random n b r seed s k topo level_name fail_domains
-      spread jobs io =
-    with_io io @@ fun () ->
-    let json = io.json in
+  let run args seed topo level_name fail_domains spread jobs json tel =
+    with_io tel @@ fun () ->
+    let required =
+      "one of --layout FILE, --strategy NAME or --random N,B,R,SEED is required"
+    in
+    let p, source = resolve_instance args ~missing:required in
+    let s = p.Placement.Params.s and k = p.Placement.Params.k in
     (* The spread strategies need the ambient configuration installed
-       before they plan, so resolve as soon as n is known. *)
-    let resolve n =
-      resolve_topology ~n topo level_name fail_domains spread
+       before they plan. *)
+    let topo_ctx =
+      resolve_topology ~n:p.Placement.Params.n topo level_name fail_domains
+        spread
     in
-    let source, layout, topo_ctx =
-      match (file, strategy, random) with
-      | Some _, Some _, _ | Some _, _, Some _ | _, Some _, Some _ ->
-          die "pass only one of --layout, --strategy and --random"
-      | None, None, None ->
-          die "one of --layout FILE, --strategy NAME or --random N,B,R,SEED is required"
-      | _, _, Some spec -> (
-          match parse_random spec with
-          | Error msg -> die msg
-          | Ok (rn, rb, rr, rseed) -> (
-              if n <> None || b <> None then
-                die "--random carries its own N and B; drop -n/-b";
-              match validate_params ~n:rn ~b:rb ~r:rr ~s ~k with
-              | Error msg -> die ("invalid parameters: " ^ msg)
-              | Ok p ->
-                  let ctx = resolve p.Placement.Params.n in
-                  let rng = Combin.Rng.create rseed in
-                  let layout = Placement.Random_placement.place ~rng p in
-                  ( Printf.sprintf "a synthetic random instance (seed %d)" rseed,
-                    layout, ctx )))
-      | Some file, None, None -> (
-          match Placement.Codec.load file with
-          | Error msg -> die (Printf.sprintf "cannot load %s: %s" file msg)
-          | Ok layout -> (file, layout, resolve layout.Placement.Layout.n))
-      | None, Some name, None -> (
-          let (module S) =
-            match Placement.Strategies.find name with
-            | Some s -> s
-            | None ->
-                die
-                  (Printf.sprintf "unknown strategy %S; available strategies: %s"
-                     name
-                     (String.concat ", " (Placement.Strategies.names ())))
-          in
-          match (n, b) with
-          | None, _ | _, None -> die "--strategy needs -n and -b to size the instance"
-          | Some n, Some b -> (
-              match validate_params ~n ~b ~r ~s ~k with
-              | Error msg -> die ("invalid parameters: " ^ msg)
-              | Ok p -> (
-                  let ctx = resolve p.Placement.Params.n in
-                  let inst = Placement.Instance.of_params p in
-                  let rng = Combin.Rng.create seed in
-                  match plan_layout (module S) ~rng inst with
-                  | Error msg -> die msg
-                  | Ok layout ->
-                      (Printf.sprintf "a %s placement"
-                         (Placement.Strategies.display_name (module S)),
-                       layout, ctx))))
+    let source, layout =
+      match source with
+      | Sized -> die required
+      | Synthetic seed ->
+          ( Printf.sprintf "a synthetic random instance (seed %d)" seed,
+            synthetic_layout p seed )
+      | File (file, layout) -> (file, layout)
+      | Planned (module S) -> (
+          let rng = Combin.Rng.create seed in
+          ( Printf.sprintf "a %s placement"
+              (Placement.Strategies.display_name (module S)),
+            plan_layout (module S) ~rng (Placement.Instance.of_params p) ))
     in
-    let attack, domain_attack =
-      with_pool jobs (fun pool ->
-          let atk = Placement.Adversary.attack ?pool layout ~s ~k in
-          let datk =
-            Option.map
-              (fun (tree, level, j) ->
-                Topology.Adversary.attack ?pool layout ~s tree ~level ~j)
-              topo_ctx
-          in
-          (atk, datk))
-    in
+    let attack, domain_attack = run_attacks jobs layout ~s ~k topo_ctx in
     if json then
       print_envelope ~command:"attack"
         (Telemetry.Json.Obj
@@ -851,31 +854,23 @@ let attack_term =
               ("source", Telemetry.Json.Str source);
               ("attack", Placement.Codec.attack_json ~s layout attack);
             ]
-           @
-           match (topo_ctx, domain_attack) with
-           | Some (tree, level, _), Some datk ->
-               [ ("topology", domain_attack_json tree ~level layout datk) ]
-           | _ -> []))
+           @ domain_attack_fields layout domain_attack))
     else begin
       print_attack ~source layout ~s attack;
-      match (topo_ctx, domain_attack) with
-      | Some (tree, level, j), Some datk ->
-          print_domain_attack tree ~level ~j layout datk
-      | _ -> ()
+      print_domain_attack layout domain_attack
     end
   in
   Term.(
-    const run $ file_arg $ strategy_opt_arg $ random_arg $ n_opt $ b_opt
-    $ r_only $ seed_arg $ s_only $ k_only $ topology_term $ domain_level_arg
-    $ fail_domains_arg $ spread_arg $ jobs_term $ io_term)
+    const run
+    $ instance_term ~layout:layout_arg ~strategy:strategy_opt_arg ()
+    $ seed_arg ~default:42 ~doc:"PRNG seed (with --strategy)."
+    $ topology_term $ domain_level_arg $ fail_domains_arg $ spread_arg
+    $ jobs_term $ json_flag $ telemetry_term)
 
 (* ------------------------------------------------------------------ *)
 (* simulate *)
 
 let simulate_term =
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-  in
   let out_arg =
     Arg.(
       value
@@ -883,34 +878,18 @@ let simulate_term =
       & info [ "out" ] ~docv:"FILE" ~doc:"Also export the layout to a file.")
   in
   let run (p : Placement.Params.t) topo level_name fail_domains spread
-      (module S : Placement.Strategy.S) seed out jobs io =
-    with_io io @@ fun () ->
-    let json = io.json in
+      (module S : Placement.Strategy.S) seed out jobs json tel =
+    with_io tel @@ fun () ->
     let topo_ctx =
       resolve_topology ~n:p.Placement.Params.n topo level_name fail_domains
         spread
     in
     let inst = Placement.Instance.of_params p in
     let rng = Combin.Rng.create seed in
-    let layout =
-      match plan_layout (module S) ~rng inst with
-      | Ok layout -> layout
-      | Error msg -> die msg
-    in
+    let layout = plan_layout (module S) ~rng inst in
     let attack, domain_attack =
-      with_pool jobs (fun pool ->
-          let atk =
-            Placement.Adversary.attack ?pool ~rng layout ~s:p.Placement.Params.s
-              ~k:p.Placement.Params.k
-          in
-          let datk =
-            Option.map
-              (fun (tree, level, j) ->
-                Topology.Adversary.attack ?pool layout ~s:p.Placement.Params.s
-                  tree ~level ~j)
-              topo_ctx
-          in
-          (atk, datk))
+      run_attacks ~rng jobs layout ~s:p.Placement.Params.s
+        ~k:p.Placement.Params.k topo_ctx
     in
     if json then
       print_envelope ~command:"simulate"
@@ -922,11 +901,7 @@ let simulate_term =
                 Placement.Codec.attack_json ~s:p.Placement.Params.s layout
                   attack );
             ]
-           @
-           match (topo_ctx, domain_attack) with
-           | Some (tree, level, _), Some datk ->
-               [ ("topology", domain_attack_json tree ~level layout datk) ]
-           | _ -> []))
+           @ domain_attack_fields layout domain_attack))
     else begin
       Fmt.pr "Simulated worst-case attack on a %s placement@."
         (Placement.Strategies.display_name (module S));
@@ -938,10 +913,7 @@ let simulate_term =
         (if attack.Placement.Adversary.exact then "exact" else "heuristic");
       Fmt.pr "  available: %d@."
         (Placement.Adversary.avail layout ~s:p.Placement.Params.s attack);
-      match (topo_ctx, domain_attack) with
-      | Some (tree, level, j), Some datk ->
-          print_domain_attack tree ~level ~j layout datk
-      | _ -> ()
+      print_domain_attack layout domain_attack
     end;
     match out with
     | None -> ()
@@ -952,7 +924,8 @@ let simulate_term =
   Term.(
     const run $ params_term $ topology_term $ domain_level_arg
     $ fail_domains_arg $ spread_arg $ strategy_term ~default:"combo"
-    $ seed_arg $ out_arg $ jobs_term $ io_term)
+    $ seed_arg ~default:42 ~doc:"PRNG seed." $ out_arg $ jobs_term $ json_flag
+    $ telemetry_term)
 
 (* ------------------------------------------------------------------ *)
 (* strategies *)
@@ -1015,7 +988,11 @@ let recommend_term =
     if not !found then
       Fmt.pr "  no configuration with r <= 5 reaches the target; lower the target or k.@."
   in
-  Term.(const run $ n_arg $ b_arg $ k_arg $ target_arg)
+  let objects_term =
+    let check b = ret_params (if b <= 0 then Error (objects_error b) else Ok b) in
+    Term.(ret (const check $ b_arg))
+  in
+  Term.(const run $ n_arg $ objects_term $ k_arg $ target_arg)
 
 (* ------------------------------------------------------------------ *)
 (* topology *)
@@ -1055,13 +1032,6 @@ let topology_cmd_term =
 (* ------------------------------------------------------------------ *)
 (* churn *)
 
-let churn_seed_arg =
-  Arg.(
-    value
-    & opt int 42
-    & info [ "seed" ] ~docv:"SEED"
-        ~doc:"PRNG seed of the synthetic event stream.")
-
 let join_weight_arg =
   Arg.(
     value
@@ -1083,28 +1053,29 @@ let leave_weight_arg =
 
 (* Shared by churn (batch) and serve (online): build the engine after
    the usual parameter/topology validation. *)
-let make_engine ~n ~r ~s ~k topo =
-  (match validate_params ~n ~b:1 ~r ~s ~k with
-  | Ok _ -> ()
-  | Error msg -> die ("invalid parameters: " ^ msg));
-  let topology =
-    match topo with
-    | None -> None
-    | Some tree ->
-        if Topology.Tree.n tree <> n then
-          die
-            (Printf.sprintf
-               "--topology describes %d nodes but the instance has n = %d; \
-                make the spec's counts multiply out to n"
-               (Topology.Tree.n tree) n);
-        Some tree
-  in
+let make_engine ~n ~r ~s ~k topology =
+  ignore (check_params ~n ~b:1 ~r ~s ~k);
+  Option.iter (check_topology_size ~n) topology;
   match Dsim.Churn.create ?topology ~n ~r ~s ~k () with
   | eng -> eng
   | exception Invalid_argument msg -> die msg
 
+(* An event file (churn --events, dst --events), parsed or rejected with
+   its FILE:LINE error. *)
+let read_events path =
+  let content =
+    match open_in_bin path with
+    | exception Sys_error msg -> die ("cannot read " ^ msg)
+    | ic ->
+        Fun.protect
+          ~finally:(fun () -> close_in ic)
+          (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  match Dsim.Event.parse_string content with
+  | Ok evs -> evs
+  | Error err -> die (Dsim.Event.format_error ~file:path err)
+
 let churn_term =
-  let seed_arg = churn_seed_arg in
   let count_arg =
     Arg.(
       value
@@ -1112,16 +1083,6 @@ let churn_term =
       & info [ "count" ] ~docv:"M"
           ~doc:"Number of synthetic events to generate (ignored with \
                 $(b,--events)).")
-  in
-  let measure_arg =
-    Arg.(
-      value
-      & opt int 100
-      & info [ "measure-every" ] ~docv:"E"
-          ~doc:
-            "Emit a measurement row every $(docv) synthetic events (0 \
-             disables the pulse; ignored with $(b,--events), where \
-             $(b,measure) lines drive the rows).")
   in
   let events_arg =
     Arg.(
@@ -1146,25 +1107,18 @@ let churn_term =
              $(b,placement-tool serve).")
   in
   let run n r s k topo seed count measure_every events_file join_weight
-      leave_weight responses jobs io =
-    with_io io @@ fun () ->
-    let json = io.json in
-    if count < 0 then
-      die
-        (Printf.sprintf "--count %d: the event count must be non-negative"
-           count);
-    if measure_every < 0 then
-      die
-        (Printf.sprintf
-           "--measure-every %d: the measurement period must be non-negative"
-           measure_every);
+      leave_weight responses json tel =
+    with_io tel @@ fun () ->
+    require_non_negative "--count" "the event count" count;
+    require_non_negative "--measure-every" "the measurement period"
+      measure_every;
     if join_weight < 0 || leave_weight < 0 then
       die "--join-weight/--leave-weight must be non-negative";
     let eng = make_engine ~n ~r ~s ~k topo in
-    (* The engine is sequential by construction (DESIGN.md §12): -j is
-       accepted for interface symmetry and the output is byte-identical
-       at any value — the cram suite pins -j1 ≡ -j4. *)
-    with_pool jobs @@ fun _pool ->
+    (* One entry point into the engine: both modes drive the same Api
+       session the serve daemon does, so the counters in the summary
+       are the session's own. *)
+    let session = Dsim.Api.make eng in
     if responses then begin
       (* Batch replay of the serve protocol: same parser, same executor,
          same wire format — diffable byte-for-byte against the daemon. *)
@@ -1183,28 +1137,13 @@ let churn_term =
       in
       Fun.protect
         ~finally:(fun () -> Unix.close fd)
-        (fun () ->
-          let session = Dsim.Api.make eng in
-          ignore
-            (Dsim.Serve.run session ~input:fd ~output:Unix.stdout))
+        (fun () -> ignore (Dsim.Serve.run session ~input:fd ~output:Unix.stdout))
     end
     else begin
     let events, source_json, source_human =
       match events_file with
       | Some path ->
-          let content =
-            match open_in_bin path with
-            | exception Sys_error msg -> die ("cannot read " ^ msg)
-            | ic ->
-                Fun.protect
-                  ~finally:(fun () -> close_in ic)
-                  (fun () -> really_input_string ic (in_channel_length ic))
-          in
-          let events =
-            match Dsim.Event.parse_string content with
-            | Ok evs -> evs
-            | Error err -> die (Dsim.Event.format_error ~file:path err)
-          in
+          let events = read_events path in
           ( events,
             Telemetry.Json.Obj
               [
@@ -1243,10 +1182,6 @@ let churn_term =
                    leave_weight
                else "") )
     in
-    (* One entry point into the engine: batch replay drives the same
-       Api session the serve daemon does, so the counters in the
-       summary are the session's own. *)
-    let session = Dsim.Api.make eng in
     let rows = ref [] in
     let min_worst = ref max_int in
     List.iter
@@ -1282,14 +1217,6 @@ let churn_term =
     let rows = List.rev !rows in
     let final = Dsim.Churn.rescore eng in
     let st = Dsim.Api.stats session in
-    let creates = ref st.Dsim.Api.creates
-    and deletes = ref st.Dsim.Api.deletes
-    and node_fails = ref st.Dsim.Api.node_fails
-    and node_recovers = ref st.Dsim.Api.node_recovers
-    and domain_fails = ref st.Dsim.Api.domain_fails
-    and joins = ref st.Dsim.Api.joins
-    and leaves = ref st.Dsim.Api.leaves
-    and measures = ref st.Dsim.Api.measures in
     if json then
       print_envelope ~command:"churn"
         (Telemetry.Json.Obj
@@ -1339,14 +1266,14 @@ let churn_term =
                   | Some _ -> [])
                  @ [
                    ("events", Telemetry.Json.Int (Dsim.Churn.events eng));
-                   ("creates", Telemetry.Json.Int !creates);
-                   ("deletes", Telemetry.Json.Int !deletes);
-                   ("node_fails", Telemetry.Json.Int !node_fails);
-                   ("node_recovers", Telemetry.Json.Int !node_recovers);
-                   ("domain_fails", Telemetry.Json.Int !domain_fails);
-                   ("joins", Telemetry.Json.Int !joins);
-                   ("leaves", Telemetry.Json.Int !leaves);
-                   ("measures", Telemetry.Json.Int !measures);
+                   ("creates", Telemetry.Json.Int st.Dsim.Api.creates);
+                   ("deletes", Telemetry.Json.Int st.Dsim.Api.deletes);
+                   ("node_fails", Telemetry.Json.Int st.Dsim.Api.node_fails);
+                   ("node_recovers", Telemetry.Json.Int st.Dsim.Api.node_recovers);
+                   ("domain_fails", Telemetry.Json.Int st.Dsim.Api.domain_fails);
+                   ("joins", Telemetry.Json.Int st.Dsim.Api.joins);
+                   ("leaves", Telemetry.Json.Int st.Dsim.Api.leaves);
+                   ("measures", Telemetry.Json.Int st.Dsim.Api.measures);
                    ( "moved_replicas",
                      Telemetry.Json.Int (Dsim.Churn.moved_replicas eng) );
                    ("live", Telemetry.Json.Int (Dsim.Churn.live eng));
@@ -1372,8 +1299,9 @@ let churn_term =
         "  events: %d (%d creates, %d deletes, %d fails, %d recovers, %d \
          domain, %d joins, %d leaves, %d measures)@."
         (Dsim.Churn.events eng)
-        !creates !deletes !node_fails !node_recovers !domain_fails !joins
-        !leaves !measures;
+        st.Dsim.Api.creates st.Dsim.Api.deletes st.Dsim.Api.node_fails
+        st.Dsim.Api.node_recovers st.Dsim.Api.domain_fails st.Dsim.Api.joins
+        st.Dsim.Api.leaves st.Dsim.Api.measures;
       Fmt.pr
         "  moved replicas: %d (r=%d per create, at most r*load per leave, \
          none otherwise)@."
@@ -1390,9 +1318,16 @@ let churn_term =
     end
   in
   Term.(
-    const run $ n_arg $ r_arg $ s_arg $ k_arg $ topology_term $ seed_arg
-    $ count_arg $ measure_arg $ events_arg $ join_weight_arg
-    $ leave_weight_arg $ responses_arg $ jobs_term $ io_term)
+    const run $ n_arg $ r_arg $ s_arg $ k_arg $ topology_term
+    $ seed_arg ~default:42 ~doc:"PRNG seed of the synthetic event stream."
+    $ count_arg
+    $ measure_every_arg ~default:100
+        ~doc:
+          "Emit a measurement row every $(docv) synthetic events (0 disables \
+           the pulse; ignored with $(b,--events), where $(b,measure) lines \
+           drive the rows)."
+    $ events_arg $ join_weight_arg $ leave_weight_arg $ responses_arg
+    $ json_flag $ telemetry_term)
 
 let serve_term =
   let socket_arg =
@@ -1432,14 +1367,9 @@ let serve_term =
             "Emit a snapshot envelope (running stats) after every $(docv) \
              applied events.")
   in
-  let run n r s k topo socket timeout max_events snapshot_every jobs metrics
-      trace =
-    setup_logs ();
-    with_telemetry ~metrics ~trace @@ fun () ->
-    (match max_events with
-    | Some m when m < 0 ->
-        die (Printf.sprintf "--max-events %d: the cap must be non-negative" m)
-    | _ -> ());
+  let run n r s k topo socket timeout max_events snapshot_every tel =
+    with_io tel @@ fun () ->
+    Option.iter (require_non_negative "--max-events" "the cap") max_events;
     (match snapshot_every with
     | Some e when e <= 0 ->
         die
@@ -1453,7 +1383,6 @@ let serve_term =
     (* One session for the daemon's lifetime: a reconnecting client sees
        the same engine and the same running stats. *)
     let session = Dsim.Api.make eng in
-    with_pool jobs @@ fun _pool ->
     Dsim.Serve.install_signals ();
     let serve_fds ~input ~output =
       Dsim.Serve.run ?max_events ?snapshot_every ~timeout session ~input
@@ -1515,8 +1444,7 @@ let serve_term =
   in
   Term.(
     const run $ n_arg $ r_arg $ s_arg $ k_arg $ topology_term $ socket_arg
-    $ timeout_arg $ max_events_arg $ snapshot_arg $ jobs_term $ metrics_arg
-    $ trace_arg)
+    $ timeout_arg $ max_events_arg $ snapshot_arg $ telemetry_term)
 
 let dst_term =
   let n_arg =
@@ -1524,15 +1452,6 @@ let dst_term =
       value
       & opt int 24
       & info [ "n" ] ~docv:"N" ~doc:"Number of nodes in each simulation.")
-  in
-  let seed_arg =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:
-            "Base seed: run $(i,i) of a sweep uses SEED+$(i,i), driving \
-             both the scenario generator and the fault-injection plan.")
   in
   let runs_arg =
     Arg.(
@@ -1547,16 +1466,6 @@ let dst_term =
       & opt int 300
       & info [ "steps" ] ~docv:"STEPS"
           ~doc:"Weighted event draws per simulation.")
-  in
-  let measure_arg =
-    Arg.(
-      value
-      & opt int 50
-      & info [ "measure-every" ] ~docv:"E"
-          ~doc:
-            "Measurement pulse period: pulse-cadence invariants (replay, \
-             in-service, per-strategy) run on these events (0 disables \
-             them).")
   in
   let profile_arg =
     Arg.(
@@ -1624,24 +1533,15 @@ let dst_term =
              uses the base seed and the first profile/strategy only.")
   in
   let run n r s k seed runs steps measure_every profiles_s strategies_s
-      inject break_s shrink repro_path events_file jobs io =
-    with_io io @@ fun () ->
-    let json = io.json in
-    (match validate_params ~n ~b:1 ~r ~s ~k with
-    | Ok _ -> ()
-    | Error msg -> die ("invalid parameters: " ^ msg));
+      inject break_s shrink repro_path events_file jobs json tel =
+    with_io tel @@ fun () ->
+    ignore (check_params ~n ~b:1 ~r ~s ~k);
     if runs < 1 then
       die (Printf.sprintf "--runs %d: need at least one run" runs);
-    if steps < 0 then
-      die (Printf.sprintf "--steps %d: the step count must be non-negative"
-             steps);
-    if measure_every < 0 then
-      die
-        (Printf.sprintf
-           "--measure-every %d: the measurement period must be non-negative"
-           measure_every);
-    if inject < 0 then
-      die (Printf.sprintf "--inject %d: the rate must be non-negative" inject);
+    require_non_negative "--steps" "the step count" steps;
+    require_non_negative "--measure-every" "the measurement period"
+      measure_every;
+    require_non_negative "--inject" "the rate" inject;
     let split_names what s =
       match
         String.split_on_char ',' s
@@ -1667,13 +1567,9 @@ let dst_term =
         (fun nm ->
           if nm = "none" then None
           else
-            match Placement.Strategies.find nm with
-            | Some m -> Some m
-            | None ->
-                die
-                  (Printf.sprintf
-                     "unknown strategy %S; available: %s, none" nm
-                     (String.concat ", " (Placement.Strategies.names ()))))
+            match find_strategy nm with
+            | Ok m -> Some m
+            | Error msg -> die (msg ^ ", none"))
         (split_names "--strategy" strategies_s)
     in
     let breaks =
@@ -1690,6 +1586,18 @@ let dst_term =
                      (String.concat ", " Dst.Invariant.canary_names)))
             names;
           names
+    in
+    let profile_names =
+      List.map (fun (p : Dst.Profile.t) -> p.Dst.Profile.name) profiles
+    in
+    let strategy_names =
+      List.map
+        (function
+          | None -> "none" | Some (module S : Placement.Strategy.S) -> S.name)
+        strategies
+    in
+    let json_strings names =
+      Telemetry.Json.List (List.map (fun nm -> Telemetry.Json.Str nm) names)
     in
     let mk_config cfg_seed profile strategy =
       {
@@ -1710,18 +1618,7 @@ let dst_term =
     let replay_history =
       match events_file with
       | None -> None
-      | Some path -> (
-          let content =
-            match open_in_bin path with
-            | exception Sys_error msg -> die ("cannot read " ^ msg)
-            | ic ->
-                Fun.protect
-                  ~finally:(fun () -> close_in ic)
-                  (fun () -> really_input_string ic (in_channel_length ic))
-          in
-          match Dsim.Event.parse_string content with
-          | Ok evs -> Some evs
-          | Error err -> die (Dsim.Event.format_error ~file:path err))
+      | Some path -> Some (read_events path)
     in
     let configs =
       match replay_history with
@@ -1834,32 +1731,12 @@ let dst_term =
                      ("steps", Telemetry.Json.Int steps);
                      ("measure_every", Telemetry.Json.Int measure_every);
                      ("inject_rate", Telemetry.Json.Int inject);
-                     ( "profiles",
-                       Telemetry.Json.List
-                         (List.map
-                            (fun (p : Dst.Profile.t) ->
-                              Telemetry.Json.Str p.Dst.Profile.name)
-                            profiles) );
-                     ( "strategies",
-                       Telemetry.Json.List
-                         (List.map
-                            (fun st ->
-                              match st with
-                              | None -> Telemetry.Json.Str "none"
-                              | Some (module S : Placement.Strategy.S) ->
-                                  Telemetry.Json.Str S.name)
-                            strategies) );
+                     ("profiles", json_strings profile_names);
+                     ("strategies", json_strings strategy_names);
                    ]
                   @ (match breaks with
                     | [] -> []
-                    | _ ->
-                        [
-                          ( "break",
-                            Telemetry.Json.List
-                              (List.map
-                                 (fun b -> Telemetry.Json.Str b)
-                                 breaks) );
-                        ])
+                    | _ -> [ ("break", json_strings breaks) ])
                   @
                   match events_file with
                   | None -> []
@@ -1906,13 +1783,8 @@ let dst_term =
              measure every %d, inject %s@."
             seed
             (seed + runs - 1)
-            (String.concat "," (List.map (fun (p : Dst.Profile.t) -> p.Dst.Profile.name) profiles))
-            (String.concat ","
-               (List.map
-                  (function
-                    | None -> "none"
-                    | Some (module S : Placement.Strategy.S) -> S.name)
-                  strategies))
+            (String.concat "," profile_names)
+            (String.concat "," strategy_names)
             steps measure_every
             (if inject > 0 then Printf.sprintf "1/%d" inject else "off"));
       Array.iter
@@ -1949,98 +1821,85 @@ let dst_term =
     if violations > 0 then exit 1
   in
   Term.(
-    const run $ n_arg $ r_arg $ s_arg $ k_arg $ seed_arg $ runs_arg
-    $ steps_arg $ measure_arg $ profile_arg $ strategy_arg $ inject_arg
-    $ break_arg $ shrink_flag $ repro_arg $ events_arg $ jobs_term $ io_term)
+    const run $ n_arg $ r_arg $ s_arg $ k_arg
+    $ seed_arg ~default:1
+        ~doc:
+          "Base seed: run $(i,i) of a sweep uses SEED+$(i,i), driving both \
+           the scenario generator and the fault-injection plan."
+    $ runs_arg $ steps_arg
+    $ measure_every_arg ~default:50
+        ~doc:
+          "Measurement pulse period: pulse-cadence invariants (replay, \
+           in-service, per-strategy) run on these events (0 disables them)."
+    $ profile_arg $ strategy_arg $ inject_arg $ break_arg $ shrink_flag
+    $ repro_arg $ events_arg $ jobs_term $ json_flag $ telemetry_term)
 
 (* ------------------------------------------------------------------ *)
-(* The command table: one declarative row per subcommand, so the verb
-   list, help text and wiring live in one place. *)
-
-type spec = { name : string; doc : string; term : unit Term.t }
-
-let specs =
-  [
-    {
-      name = "plan";
-      doc = "Compute a placement plan and its availability bound.";
-      term = plan_term;
-    };
-    {
-      name = "analyze";
-      doc = "Worst-case availability analysis of a strategy.";
-      term = analyze_term;
-    };
-    {
-      name = "designs";
-      doc = "List the design catalogue for a given (x, r).";
-      term = designs_term;
-    };
-    {
-      name = "gap";
-      doc = "Chunked capacity plan for a system size (Observation 2).";
-      term = gap_term;
-    };
-    {
-      name = "simulate";
-      doc = "Materialize a placement and attack it.";
-      term = simulate_term;
-    };
-    {
-      name = "attack";
-      doc =
-        "Attack a layout exported with simulate --out, a strategy, or a \
-         synthetic --random instance.";
-      term = attack_term;
-    };
-    {
-      name = "churn";
-      doc =
-        "Replay an event stream (node/domain outages, recoveries, object \
-         create/delete) through the continuous placement engine, re-scoring \
-         worst-case availability incrementally after every event.";
-      term = churn_term;
-    };
-    {
-      name = "serve";
-      doc =
-        "Run the continuous placement engine as a long-lived daemon: \
-         newline-delimited events and queries in (stdin or a Unix socket), \
-         one placement/v1 envelope per request out.";
-      term = serve_term;
-    };
-    {
-      name = "dst";
-      doc =
-        "Deterministic simulation testing: drive seeded scenario profiles \
-         through the engine with fault injection armed, check the \
-         invariant registry every step, and shrink any failure to a \
-         replayable repro.";
-      term = dst_term;
-    };
-    {
-      name = "strategies";
-      doc = "List the registered placement strategies.";
-      term = strategies_term;
-    };
-    {
-      name = "recommend";
-      doc =
-        "Find the cheapest replication config meeting an availability \
-         target.";
-      term = recommend_term;
-    };
-    {
-      name = "topology";
-      doc = "Parse a fault-domain topology spec and describe its levels.";
-      term = topology_cmd_term;
-    };
-  ]
+(* The command table. *)
 
 let main_cmd =
   let doc = "replica placement for availability in the worst case (ICDCS'15 reproduction)" in
   Cmd.group
     (Cmd.info "placement-tool" ~version:"1.0.0" ~doc)
-    (List.map (fun s -> Cmd.v (Cmd.info s.name ~doc:s.doc) s.term) specs)
+    [
+      Cmd.v
+        (Cmd.info "plan" ~doc:"Compute a placement plan and its availability bound.")
+        plan_term;
+      Cmd.v
+        (Cmd.info "analyze" ~doc:"Worst-case availability analysis of a strategy.")
+        analyze_term;
+      Cmd.v
+        (Cmd.info "designs" ~doc:"List the design catalogue for a given (x, r).")
+        designs_term;
+      Cmd.v
+        (Cmd.info "gap"
+           ~doc:"Chunked capacity plan for a system size (Observation 2).")
+        gap_term;
+      Cmd.v
+        (Cmd.info "simulate" ~doc:"Materialize a placement and attack it.")
+        simulate_term;
+      Cmd.v
+        (Cmd.info "attack"
+           ~doc:
+             "Attack a layout exported with simulate --out, a strategy, or a \
+              synthetic --random instance.")
+        attack_term;
+      Cmd.v
+        (Cmd.info "churn"
+           ~doc:
+             "Replay an event stream (node/domain outages, recoveries, object \
+              create/delete) through the continuous placement engine, \
+              re-scoring worst-case availability incrementally after every \
+              event.")
+        churn_term;
+      Cmd.v
+        (Cmd.info "serve"
+           ~doc:
+             "Run the continuous placement engine as a long-lived daemon: \
+              newline-delimited events and queries in (stdin or a Unix \
+              socket), one placement/v1 envelope per request out.")
+        serve_term;
+      Cmd.v
+        (Cmd.info "dst"
+           ~doc:
+             "Deterministic simulation testing: drive seeded scenario \
+              profiles through the engine with fault injection armed, check \
+              the invariant registry every step, and shrink any failure to a \
+              replayable repro.")
+        dst_term;
+      Cmd.v
+        (Cmd.info "strategies" ~doc:"List the registered placement strategies.")
+        strategies_term;
+      Cmd.v
+        (Cmd.info "recommend"
+           ~doc:
+             "Find the cheapest replication config meeting an availability \
+              target.")
+        recommend_term;
+      Cmd.v
+        (Cmd.info "topology"
+           ~doc:"Parse a fault-domain topology spec and describe its levels.")
+        topology_cmd_term;
+    ]
 
 let () = exit (Cmd.eval main_cmd)

@@ -17,25 +17,21 @@ let r = 3
 let s = 2 (* majority quorum *)
 let b = 600
 
-(* Before the churn run: replay the worst single episode as a scripted
-   trace on the same cluster.  ~restore:true hands the cluster back
-   fully recovered, so the long-run simulation below starts clean
-   without a manual recover_all. *)
+(* Before the churn run: replay the worst single episode on the same
+   cluster, then recover it so the long-run simulation below starts
+   clean. *)
 let worst_episode name cluster layout =
   let atk = Placement.Adversary.attack layout ~s ~k:3 in
-  let events =
-    Array.to_list atk.Placement.Adversary.failed_nodes
-    |> List.concat_map (fun nd ->
-           [ Dsim.Trace.Fail nd; Dsim.Trace.Measure (string_of_int nd) ])
-  in
-  let snaps = Dsim.Trace.replay ~restore:true cluster events in
   Printf.printf "%-10s worst episode, objects up after each failure:" name;
-  List.iter
-    (fun snap ->
-      Printf.printf " %d (node %s down)" snap.Dsim.Trace.available
-        snap.Dsim.Trace.label)
-    snaps;
-  print_newline ()
+  Array.iter
+    (fun nd ->
+      Dsim.Cluster.apply_event cluster (Dsim.Event.Node_fail nd);
+      Printf.printf " %d (node %d down)"
+        (Dsim.Cluster.available_objects cluster)
+        nd)
+    atk.Placement.Adversary.failed_nodes;
+  print_newline ();
+  Dsim.Cluster.recover_all cluster
 
 let simulate name layout =
   let cluster = Dsim.Cluster.create layout (Dsim.Semantics.Threshold s) in

@@ -48,20 +48,23 @@ let () =
 
   (* 4. Watch availability evolve on a live cluster as nodes fail. *)
   let cluster = Dsim.Cluster.create layout Dsim.Semantics.Majority in
-  let snaps =
-    Dsim.Trace.replay cluster
-      [
-        Dsim.Trace.Measure "t0: all 31 nodes up";
-        Dsim.Trace.Fail attack.Placement.Adversary.failed_nodes.(0);
-        Dsim.Trace.Measure "t1: first node down";
-        Dsim.Trace.Fail attack.Placement.Adversary.failed_nodes.(1);
-        Dsim.Trace.Measure "t2: second node down";
-        Dsim.Trace.Fail attack.Placement.Adversary.failed_nodes.(2);
-        Dsim.Trace.Measure "t3: third node down (planned worst case)";
-        Dsim.Trace.Recover_all;
-        Dsim.Trace.Measure "t4: recovered";
-      ]
+  let measure label =
+    let available = Dsim.Cluster.available_objects cluster in
+    Printf.printf "[%s] failed_nodes=%d available=%d unavailable=%d\n" label
+      (Array.length (Dsim.Cluster.failed_nodes cluster))
+      available
+      (Dsim.Cluster.b cluster - available)
   in
-  List.iter
-    (fun s -> Format.printf "%a@." Dsim.Trace.pp_snapshot s)
-    snaps
+  let fail i =
+    Dsim.Cluster.apply_event cluster
+      (Dsim.Event.Node_fail attack.Placement.Adversary.failed_nodes.(i))
+  in
+  measure "t0: all 31 nodes up";
+  fail 0;
+  measure "t1: first node down";
+  fail 1;
+  measure "t2: second node down";
+  fail 2;
+  measure "t3: third node down (planned worst case)";
+  Dsim.Cluster.recover_all cluster;
+  measure "t4: recovered"

@@ -40,7 +40,8 @@ let () =
   let layout = Placement.Instance.combo_layout ~config:plan inst in
   let racks = Array.init hosts (fun h -> h mod 8) in
   let cluster =
-    Dsim.Cluster.create ~racks layout (Dsim.Semantics.Threshold 2)
+    Dsim.Cluster.create ~topology:(Topology.Build.of_racks racks) layout
+      (Dsim.Semantics.Threshold 2)
   in
   let rng = Combin.Rng.create 7 in
   let failed = Dsim.Scenario.apply ~rng cluster (Dsim.Scenario.Random_racks 2) in

@@ -4,36 +4,23 @@ type t = {
   s : int;
   topology : Topology.Tree.t;
   rack_level : int;
-  rack_label : int array;  (* rack-level domain id -> caller's rack id *)
   kernel : Placement.Kernel.t;
       (* per-object hit counters + dead tally, O(load) per node event *)
   up : bool array;
 }
 
-let create ?racks ?topology layout semantics =
+let create ?topology layout semantics =
   let n = layout.Placement.Layout.n in
-  let topology, rack_label =
-    match (racks, topology) with
-    | Some _, Some _ ->
-        invalid_arg "Cluster.create: pass either ~racks or ~topology, not both"
-    | None, Some topo ->
+  let topology =
+    match topology with
+    | None -> Topology.Build.flat n
+    | Some topo ->
         if Topology.Tree.n topo <> n then
           invalid_arg
             (Printf.sprintf
                "Cluster.create: topology has %d nodes but the layout has %d"
                (Topology.Tree.n topo) n);
-        let level = min 1 (Topology.Tree.depth topo - 1) in
-        (topo, Array.init (Topology.Tree.domain_count topo ~level) Fun.id)
-    | Some r, None ->
-        if Array.length r <> n then invalid_arg "Cluster.create: racks length";
-        (* The caller's (arbitrary) rack ids become the rack-level
-           domains of a flat one-level tree; Tree.make normalizes ids in
-           ascending order, so label domain d with the d-th distinct
-           id — rack_of/rack_ids/rack_nodes then answer in the caller's
-           vocabulary, byte-identical to the pre-topology rack model. *)
-        (Topology.Build.of_racks r, Combin.Intset.of_array r)
-    | None, None ->
-        (Topology.Build.flat n, Array.init n Fun.id)
+        topo
   in
   let rack_level = min 1 (Topology.Tree.depth topology - 1) in
   let s = Semantics.fatality_threshold semantics ~r:layout.Placement.Layout.r in
@@ -43,7 +30,6 @@ let create ?racks ?topology layout semantics =
     s;
     topology;
     rack_level;
-    rack_label;
     kernel = Placement.Kernel.make layout ~s;
     up = Array.make n true;
   }
@@ -75,32 +61,6 @@ let recover_node t nd =
     t.up.(nd) <- true;
     Placement.Kernel.remove t.kernel nd
   end
-
-(* Rack-level domain holding the caller's rack id, if any (binary search
-   in the sorted label array). *)
-let rack_domain t rack =
-  let lo = ref 0 and hi = ref (Array.length t.rack_label - 1) in
-  let found = ref None in
-  while !found = None && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let id = t.rack_label.(mid) in
-    if id = rack then found := Some mid
-    else if id < rack then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !found
-
-let rack_nodes t rack =
-  match rack_domain t rack with
-  | None -> [||]
-  | Some d -> Array.copy (Topology.Tree.members t.topology ~level:t.rack_level d)
-
-let fail_rack t rack = Array.iter (fail_node t) (rack_nodes t rack)
-
-let rack_of t nd =
-  t.rack_label.(Topology.Tree.domain_of t.topology ~level:t.rack_level nd)
-
-let rack_ids t = Array.copy t.rack_label
 
 let recover_all t =
   for nd = 0 to n t - 1 do

@@ -6,24 +6,19 @@
     observe which objects remain available under a given access
     semantics, recover, repeat.
 
-    Every cluster carries a {!Topology.Tree} of fault domains.  The
-    historical rack model is the special case of a one-level tree: the
-    [~racks] array becomes the rack level (and the default — no racks,
-    no topology — is {!Topology.Build.flat}, one rack per node), so the
-    rack accessors below answer through the topology while keeping
-    their pre-topology byte-for-byte behavior. *)
+    Every cluster carries a {!Topology.Tree} of fault domains (by
+    default {!Topology.Build.flat}, one domain per node); racks given as
+    a node -> rack-id array are {!Topology.Build.of_racks}. *)
 
 type t
 
 val create :
-  ?racks:int array -> ?topology:Topology.Tree.t -> Placement.Layout.t ->
-  Semantics.t -> t
-(** [create layout sem] starts with all nodes up.  [racks], if given,
-    assigns node [i] to rack [racks.(i)] (length n) for correlated
-    failures; [topology] installs a full fault-domain tree instead
-    (its first level above the nodes acts as the rack level).
-    @raise Invalid_argument if both are given, or on a length/node
-    mismatch. *)
+  ?topology:Topology.Tree.t -> Placement.Layout.t -> Semantics.t -> t
+(** [create layout sem] starts with all nodes up.  [topology] installs a
+    fault-domain tree for correlated failures (its first level above the
+    nodes acts as the rack level).
+    @raise Invalid_argument if the tree's node count differs from the
+    layout's. *)
 
 val layout : t -> Placement.Layout.t
 val semantics : t -> Semantics.t
@@ -49,32 +44,15 @@ val fail_node : t -> int -> unit
 val recover_node : t -> int -> unit
 (** Idempotent. *)
 
-val fail_rack : t -> int -> unit
-(** Fail every node of a rack (no-op on an unknown rack id). *)
-
 val fail_domain : t -> level:int -> int -> unit
 (** Fail every node of a domain of the topology. *)
 
 val apply_event : t -> Event.t -> unit
 (** Consume one unified event ({!Event.t}): node failures/recoveries
     and domain failures route to the operations above, [Measure] is a
-    no-op (callers snapshot around it — see {!Trace.replay}).
+    no-op (callers read {!available_objects} around it).
     @raise Invalid_argument on object churn events: a cluster's layout
     is fixed, use {!Churn} for the object-churn regime. *)
-
-val rack_domain : t -> int -> int option
-(** Normalized rack-level domain id holding the caller's rack id, if
-    any — the fault-domain id {!Trace} snapshots attribute rack
-    failures to. *)
-
-val rack_of : t -> int -> int
-(** Rack id of a node. *)
-
-val rack_ids : t -> int array
-(** Distinct rack ids, ascending. *)
-
-val rack_nodes : t -> int -> int array
-(** Nodes of a rack, ascending ([[||]] for an unknown rack id). *)
 
 val recover_all : t -> unit
 

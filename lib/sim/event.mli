@@ -3,10 +3,9 @@
     One event type covers every way the system changes: node and
     fault-domain outages, node recoveries, object creation/deletion
     (the churn regime of {!Churn}), and labelled measurement pulses.
-    {!Trace}, {!Scenario} and {!Repair} produce or consume this stream
-    (their historical vocabularies lower onto it byte-identically), and
-    {!Churn} replays it against a live adaptive placement; see
-    DESIGN.md §12. *)
+    {!Scenario} and {!Repair} produce this stream, {!Cluster} consumes
+    its infrastructure events, and {!Churn} replays it against a live
+    adaptive placement; see DESIGN.md §12. *)
 
 type t =
   | Node_fail of int  (** one node goes down *)

@@ -28,10 +28,8 @@ let select ~rng cluster t =
       attack.Placement.Adversary.failed_nodes
   | Random_nodes k -> Combin.Rng.sample_distinct rng ~n:(Cluster.n cluster) ~k
   | Random_racks j ->
-      (* Routed through the cluster's topology: racks are the domains
-         of the rack level, in the same ascending order as the
-         pre-topology rack_ids — one sample_distinct draw, identical
-         streams, identical node sets. *)
+      (* Racks are the domains of the cluster's rack level, in
+         ascending id order: one sample_distinct draw over them. *)
       let topo = Cluster.topology cluster in
       let level = Cluster.rack_level cluster in
       let nr = Topology.Tree.domain_count topo ~level in

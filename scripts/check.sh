@@ -11,7 +11,7 @@
 # engine, diffed byte-for-byte against the pinned envelope in
 # scripts/churn_smoke.expected), the serve gates (a fixed event+query
 # script answered over stdin must be byte-identical to the batch churn
-# --responses replay at -j1 and -j4, and a SIGTERM mid-session must
+# --responses replay, and a SIGTERM mid-session must
 # still flush a summary envelope naming the signal), and the dst gates
 # (a pinned multi-seed simulation sweep with fault injection armed must
 # hold every invariant bit-identically at -j1 and -j4, and a
@@ -75,7 +75,7 @@ rack_avail=$(echo "$topo" | sed -n 's/^ *available: \([0-9]*\) .*/\1/p')
 # Churn smoke: a 10^4-event seeded trace through the continuous engine,
 # with per-event incremental worst-case re-scoring, must reproduce the
 # pinned placement/v1 envelope byte for byte (determinism contract:
-# same stream, same bytes, at any -j).
+# same stream, same bytes).
 dune exec bin/placement_tool.exe -- churn -n 50 -r 3 -s 2 -k 3 \
   --seed 7 --count 10000 --measure-every 500 --json > churn_smoke.json
 diff scripts/churn_smoke.expected churn_smoke.json ||
@@ -84,9 +84,9 @@ rm -f churn_smoke.json
 
 # Serve gates.  (1) Protocol determinism: a fixed event+query script
 # piped into the serve daemon over stdin must answer byte-identically
-# to the batch `churn --events FILE --responses` replay, at -j1 and
-# -j4 — serve and batch share one Api path, and this is the contract
-# that keeps them honest.
+# to the batch `churn --events FILE --responses` replay — serve and
+# batch share one Api path, and this is the contract that keeps them
+# honest.
 cat > serve_script.txt <<'EOF'
 create
 create
@@ -108,11 +108,7 @@ dune exec bin/placement_tool.exe -- churn -n 12 -r 3 -s 2 -k 2 \
   --events serve_script.txt --responses > serve_batch.out
 cmp serve_stdin.out serve_batch.out ||
   { echo "check.sh: serve over stdin diverged from batch churn --responses" >&2; exit 1; }
-dune exec bin/placement_tool.exe -- serve -n 12 -r 3 -s 2 -k 2 -j4 \
-  < serve_script.txt > serve_j4.out
-cmp serve_stdin.out serve_j4.out ||
-  { echo "check.sh: serve output differs between -j1 and -j4" >&2; exit 1; }
-rm -f serve_script.txt serve_stdin.out serve_batch.out serve_j4.out
+rm -f serve_script.txt serve_stdin.out serve_batch.out
 
 # (2) Graceful drain: SIGTERM mid-session must still flush a valid
 # final summary envelope naming the signal.  The daemon reads from a

@@ -76,14 +76,22 @@ let test_cluster_idempotent_ops () =
   Alcotest.(check int) "double recover idempotent" 12
     (Dsim.Cluster.available_objects c)
 
+let racks_topology () = Topology.Build.of_racks [| 0; 0; 0; 1; 1; 1; 2; 2; 2 |]
+
 let test_cluster_racks () =
-  let racks = [| 0; 0; 0; 1; 1; 1; 2; 2; 2 |] in
-  let c = Dsim.Cluster.create ~racks (mk_layout ()) Dsim.Semantics.Majority in
-  Alcotest.(check (array int)) "rack ids" [| 0; 1; 2 |] (Dsim.Cluster.rack_ids c);
-  Alcotest.(check (array int)) "rack 1 nodes" [| 3; 4; 5 |] (Dsim.Cluster.rack_nodes c 1);
-  Dsim.Cluster.fail_rack c 1;
+  let c =
+    Dsim.Cluster.create ~topology:(racks_topology ()) (mk_layout ())
+      Dsim.Semantics.Majority
+  in
+  let level = Dsim.Cluster.rack_level c in
+  let topo = Dsim.Cluster.topology c in
+  Alcotest.(check int) "rack level" 1 level;
+  Alcotest.(check int) "three racks" 3 (Topology.Tree.domain_count topo ~level);
+  Alcotest.(check (array int)) "rack 1 nodes" [| 3; 4; 5 |]
+    (Topology.Tree.members topo ~level 1);
+  Dsim.Cluster.fail_domain c ~level:1 1;
   Alcotest.(check (array int)) "failed nodes" [| 3; 4; 5 |] (Dsim.Cluster.failed_nodes c);
-  Alcotest.(check int) "rack of node 7" 2 (Dsim.Cluster.rack_of c 7)
+  Alcotest.(check int) "rack of node 7" 2 (Topology.Tree.domain_of topo ~level 7)
 
 let test_live_replicas () =
   let c = Dsim.Cluster.create (mk_layout ()) Dsim.Semantics.Majority in
@@ -134,11 +142,23 @@ let test_scenario_adversarial_beats_random () =
     (float_of_int adv <= float_of_int !total_random /. float_of_int trials +. 1e-9)
 
 let test_scenario_racks () =
-  let racks = [| 0; 0; 0; 1; 1; 1; 2; 2; 2 |] in
-  let c = Dsim.Cluster.create ~racks (mk_layout ()) Dsim.Semantics.Majority in
+  let c =
+    Dsim.Cluster.create ~topology:(racks_topology ()) (mk_layout ())
+      Dsim.Semantics.Majority
+  in
   let rng = Combin.Rng.create 2 in
   let nodes = Dsim.Scenario.apply ~rng c (Dsim.Scenario.Random_racks 2) in
-  Alcotest.(check int) "6 nodes failed" 6 (Array.length nodes)
+  Alcotest.(check int) "6 nodes failed" 6 (Array.length nodes);
+  (* The same two racks failed through fail_domain give the same set. *)
+  let c' =
+    Dsim.Cluster.create ~topology:(racks_topology ()) (mk_layout ())
+      Dsim.Semantics.Majority
+  in
+  Array.iter
+    (fun d -> Dsim.Cluster.fail_domain c' ~level:1 d)
+    (Combin.Rng.sample_distinct (Combin.Rng.create 2) ~n:3 ~k:2);
+  Alcotest.(check (array int)) "same nodes as fail_domain" nodes
+    (Dsim.Cluster.failed_nodes c')
 
 let test_scenario_apply_wellformed =
   (* Every constructor must return a sorted, duplicate-free node array
@@ -171,56 +191,18 @@ let test_scenario_apply_wellformed =
       !sorted_distinct && Dsim.Cluster.failed_nodes c = nodes)
 
 (* ------------------------------------------------------------------ *)
-(* Trace *)
+(* Trace: a scripted timeline on Cluster.apply_event *)
 
 let test_trace_replay () =
   let c = Dsim.Cluster.create (mk_layout ()) Dsim.Semantics.Write_all in
-  let snaps =
-    Dsim.Trace.replay c
-      [
-        Dsim.Trace.Measure "initial";
-        Dsim.Trace.Fail 0;
-        Dsim.Trace.Measure "one down";
-        Dsim.Trace.Recover_all;
-        Dsim.Trace.Measure "recovered";
-      ]
-  in
-  (match snaps with
-  | [ a; b; c' ] ->
-      Alcotest.(check string) "label" "initial" a.Dsim.Trace.label;
-      Alcotest.(check int) "all up" 12 a.Dsim.Trace.available;
-      Alcotest.(check int) "one node down" 1 b.Dsim.Trace.failed_nodes;
-      Alcotest.(check bool) "write-all loses objects" true
-        (b.Dsim.Trace.available < 12);
-      Alcotest.(check int) "recovered" 12 c'.Dsim.Trace.available
-  | _ -> Alcotest.fail "expected 3 snapshots")
-
-let test_trace_rack_attribution () =
-  let racks = [| 0; 0; 0; 1; 1; 1; 2; 2; 2 |] in
-  let c =
-    Dsim.Cluster.create ~racks (mk_layout ()) Dsim.Semantics.Write_all
-  in
-  let snaps =
-    Dsim.Trace.replay c
-      [
-        Dsim.Trace.Measure "initial";
-        Dsim.Trace.Fail_rack 1;
-        Dsim.Trace.Measure "rack 1 down";
-        Dsim.Trace.Fail_rack 99;
-        (* unknown rack: historical no-op, attribution unchanged *)
-        Dsim.Trace.Measure "still rack 1";
-      ]
-  in
-  match snaps with
-  | [ a; b; c' ] ->
-      Alcotest.(check (option int)) "no acting domain yet" None
-        a.Dsim.Trace.acting_domain;
-      Alcotest.(check (option int)) "rack 1 is domain 1" (Some 1)
-        b.Dsim.Trace.acting_domain;
-      Alcotest.(check int) "three nodes down" 3 b.Dsim.Trace.failed_nodes;
-      Alcotest.(check (option int)) "unknown rack keeps attribution" (Some 1)
-        c'.Dsim.Trace.acting_domain
-  | _ -> Alcotest.fail "expected 3 snapshots"
+  Alcotest.(check int) "all up" 12 (Dsim.Cluster.available_objects c);
+  Dsim.Cluster.apply_event c (Dsim.Event.Node_fail 0);
+  Alcotest.(check int) "one node down" 1
+    (Array.length (Dsim.Cluster.failed_nodes c));
+  Alcotest.(check bool) "write-all loses objects" true
+    (Dsim.Cluster.available_objects c < 12);
+  Dsim.Cluster.recover_all c;
+  Alcotest.(check int) "recovered" 12 (Dsim.Cluster.available_objects c)
 
 (* ------------------------------------------------------------------ *)
 (* Unified events *)
@@ -950,8 +932,6 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "replay" `Quick test_trace_replay;
-          Alcotest.test_case "rack attribution" `Quick
-            test_trace_rack_attribution;
         ] );
       ( "event",
         [
