@@ -3,10 +3,6 @@
 
 open Cmdliner
 
-(* The spread families register themselves at module-init time; force
-   the linker to keep lib/topology's Strategies module. *)
-let () = Topology.Strategies.ensure_registered ()
-
 let setup_logs () =
   Fmt_tty.setup_std_outputs ();
   Logs.set_reporter (Logs_fmt.reporter ())
@@ -251,8 +247,8 @@ let parse_random spec =
         (Printf.sprintf
            "--random %s: expected four comma-separated fields N,B,R,SEED" spec)
 
-(* --strategy NAME, resolved through the registry; unknown names list the
-   registered strategies. *)
+(* --strategy NAME, resolved through Placement.Strategies; unknown names
+   list the available strategies. *)
 let strategy_arg ~default =
   Arg.(
     value
@@ -268,7 +264,7 @@ let find_strategy name =
   | None ->
       Error
         (Printf.sprintf "unknown strategy %S; available strategies: %s" name
-           (String.concat ", " (Placement.Strategies.names ())))
+           (String.concat ", " Placement.Strategies.names))
 
 let strategy_term ~default =
   let resolve name =
@@ -367,11 +363,11 @@ let synthetic_layout p seed =
 (* ------------------------------------------------------------------ *)
 (* Fault-domain topologies (--topology and friends).
 
-   The flags resolve to an optional (tree, level, j) context once the
-   instance size is known: the tree must cover exactly n nodes, the
-   level defaults to the first one above the nodes, and resolving also
-   installs the ambient Topology.Strategies configuration so
-   --strategy simple-spread/random-spread can plan. *)
+   The flags resolve once the instance size is known: the tree must
+   cover exactly n nodes and the level defaults to the first one above
+   the nodes.  Resolving yields the instance's domain map (for the
+   spread strategies) and the (tree, level, j) context of the domain
+   adversary and bound. *)
 
 let topology_arg =
   Arg.(
@@ -405,14 +401,14 @@ let domain_level_arg =
 let fail_domains_arg =
   Arg.(
     value
-    & opt int 1
+    & opt (some int) None
     & info [ "fail-domains" ] ~docv:"J"
         ~doc:"Domain-failure budget of the topology adversary (default 1).")
 
 let spread_arg =
   Arg.(
     value
-    & opt int 1
+    & opt (some int) None
     & info [ "spread" ] ~docv:"T"
         ~doc:
           "Max replicas per domain for the spread strategies (default 1).")
@@ -425,17 +421,24 @@ let check_topology_size tree ~n =
           spec's counts multiply out to n"
          (Topology.Tree.n tree) n)
 
-let resolve_topology ~n topo level_name fail_domains spread =
-  match topo with
+(* [(domains, ctx)]: the instance's domain map and the domain
+   adversary's (tree, level, j), both [None] without --topology. *)
+let resolve_topology tree level_name fail_domains spread ~n =
+  match tree with
   | None ->
-      if level_name <> None then
-        die "--domain-level needs --topology SPEC to name a level of";
-      None
+      let needs flag what =
+        die (Printf.sprintf "%s needs --topology SPEC to name %s" flag what)
+      in
+      if level_name <> None then needs "--domain-level" "a level of";
+      if fail_domains <> None then
+        needs "--fail-domains" "the domains it fails";
+      if spread <> None then needs "--spread" "the domains it caps";
+      (None, None)
   | Some tree ->
       check_topology_size tree ~n;
       let level =
         match level_name with
-        | None -> min 1 (Topology.Tree.depth tree - 1)
+        | None -> Topology.Tree.default_level tree
         | Some name -> (
             match Topology.Tree.find_level tree name with
             | Some l -> l
@@ -447,6 +450,8 @@ let resolve_topology ~n topo level_name fail_domains spread =
                      (String.concat ", "
                         (Array.to_list (Topology.Tree.level_names tree)))))
       in
+      let fail_domains = Option.value fail_domains ~default:1 in
+      let spread = Option.value spread ~default:1 in
       let domains = Topology.Tree.domain_count tree ~level in
       if fail_domains < 1 || fail_domains > domains then
         die
@@ -458,8 +463,15 @@ let resolve_topology ~n topo level_name fail_domains spread =
         die
           (Printf.sprintf "--spread %d: must allow at least 1 replica per domain"
              spread);
-      Topology.Strategies.configure ~level ~cap:spread tree;
-      Some (tree, level, fail_domains)
+      ( Some (Topology.Spec.domains tree ~level ~cap:spread),
+        Some (tree, level, fail_domains) )
+
+(* --topology with the flags that act on its domains (plan, analyze,
+   attack, simulate), as the resolver of the command's n. *)
+let topology_args_term =
+  Term.(
+    const resolve_topology $ topology_term $ domain_level_arg
+    $ fail_domains_arg $ spread_arg)
 
 (* plan/analyze under --topology: the Lemma 2 domain-failure bound, as
    the envelope's "topology" field or a report line. *)
@@ -548,14 +560,11 @@ let print_domain_attack layout = function
 (* plan *)
 
 let plan_term =
-  let run (p : Placement.Params.t) topo level_name fail_domains spread
-      (module S : Placement.Strategy.S) json tel =
+  let run (p : Placement.Params.t) topo (module S : Placement.Strategy.S) json
+      tel =
     with_io tel @@ fun () ->
-    let topo_ctx =
-      resolve_topology ~n:p.Placement.Params.n topo level_name fail_domains
-        spread
-    in
-    let inst = Placement.Instance.of_params p in
+    let domains, topo_ctx = topo ~n:p.Placement.Params.n in
+    let inst = Placement.Instance.of_params ?domains p in
     let display = Placement.Strategies.display_name (module S) in
     let pr_avail = Placement.Instance.pr_avail inst in
     if json then begin
@@ -593,16 +602,14 @@ let plan_term =
     end
   in
   Term.(
-    const run $ params_term $ topology_term $ domain_level_arg
-    $ fail_domains_arg $ spread_arg $ strategy_term ~default:"combo" $ json_flag
-    $ telemetry_term)
+    const run $ params_term $ topology_args_term
+    $ strategy_term ~default:"combo" $ json_flag $ telemetry_term)
 
 (* ------------------------------------------------------------------ *)
 (* analyze *)
 
 let analyze_term =
-  let run args topo level_name fail_domains spread
-      (module S : Placement.Strategy.S) json tel =
+  let run args topo (module S : Placement.Strategy.S) json tel =
     with_io tel @@ fun () ->
     let p, source =
       resolve_instance args
@@ -621,11 +628,13 @@ let analyze_term =
           Some (seed, layout, atk)
       | Sized | File _ | Planned _ -> None
     in
-    let topo_ctx =
-      resolve_topology ~n:p.Placement.Params.n topo level_name fail_domains
-        spread
+    let domains, topo_ctx = topo ~n:p.Placement.Params.n in
+    let inst = Placement.Instance.of_params ?domains p in
+    let attack_cost =
+      Placement.Adversary.attack_cost ~n:p.Placement.Params.n
+        ~r:p.Placement.Params.r ~b:p.Placement.Params.b ~k:p.Placement.Params.k
     in
-    let inst = Placement.Instance.of_params p in
+    let affordable = attack_cost <= Placement.Adversary.exact_limit in
     if json then begin
       let report = Placement.Strategy.report (module S) inst in
       let fields =
@@ -636,8 +645,8 @@ let analyze_term =
            else [])
         @ [
             ( "exact_adversary_affordable",
-              Telemetry.Json.Bool (Placement.Instance.exact_attack_affordable inst) );
-            ("attack_cost", Telemetry.Json.Float (Placement.Instance.attack_cost inst));
+              Telemetry.Json.Bool affordable );
+            ("attack_cost", Telemetry.Json.Float attack_cost);
           ]
         @ (match synth with
           | None -> []
@@ -692,8 +701,7 @@ let analyze_term =
              ~n:p.Placement.Params.n ~k:p.Placement.Params.k)
           p.Placement.Params.b;
         Fmt.pr "  exact adversary affordable: %b (estimated work %.3g)@."
-          (Placement.Instance.exact_attack_affordable inst)
-          (Placement.Instance.attack_cost inst)
+          affordable attack_cost
       end;
       (match synth with
       | None -> ()
@@ -707,9 +715,8 @@ let analyze_term =
     end
   in
   Term.(
-    const run $ instance_term () $ topology_term $ domain_level_arg
-    $ fail_domains_arg $ spread_arg $ strategy_term ~default:"random"
-    $ json_flag $ telemetry_term)
+    const run $ instance_term () $ topology_args_term
+    $ strategy_term ~default:"random" $ json_flag $ telemetry_term)
 
 (* ------------------------------------------------------------------ *)
 (* designs *)
@@ -820,19 +827,14 @@ let attack_term =
             "Attack a freshly planned strategy layout instead of a file \
              (requires -n and -b).")
   in
-  let run args seed topo level_name fail_domains spread jobs json tel =
+  let run args seed topo jobs json tel =
     with_io tel @@ fun () ->
     let required =
       "one of --layout FILE, --strategy NAME or --random N,B,R,SEED is required"
     in
     let p, source = resolve_instance args ~missing:required in
     let s = p.Placement.Params.s and k = p.Placement.Params.k in
-    (* The spread strategies need the ambient configuration installed
-       before they plan. *)
-    let topo_ctx =
-      resolve_topology ~n:p.Placement.Params.n topo level_name fail_domains
-        spread
-    in
+    let domains, topo_ctx = topo ~n:p.Placement.Params.n in
     let source, layout =
       match source with
       | Sized -> die required
@@ -844,7 +846,8 @@ let attack_term =
           let rng = Combin.Rng.create seed in
           ( Printf.sprintf "a %s placement"
               (Placement.Strategies.display_name (module S)),
-            plan_layout (module S) ~rng (Placement.Instance.of_params p) ))
+            plan_layout (module S) ~rng
+              (Placement.Instance.of_params ?domains p) ))
     in
     let attack, domain_attack = run_attacks jobs layout ~s ~k topo_ctx in
     if json then
@@ -864,8 +867,7 @@ let attack_term =
     const run
     $ instance_term ~layout:layout_arg ~strategy:strategy_opt_arg ()
     $ seed_arg ~default:42 ~doc:"PRNG seed (with --strategy)."
-    $ topology_term $ domain_level_arg $ fail_domains_arg $ spread_arg
-    $ jobs_term $ json_flag $ telemetry_term)
+    $ topology_args_term $ jobs_term $ json_flag $ telemetry_term)
 
 (* ------------------------------------------------------------------ *)
 (* simulate *)
@@ -877,14 +879,11 @@ let simulate_term =
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE" ~doc:"Also export the layout to a file.")
   in
-  let run (p : Placement.Params.t) topo level_name fail_domains spread
-      (module S : Placement.Strategy.S) seed out jobs json tel =
+  let run (p : Placement.Params.t) topo (module S : Placement.Strategy.S) seed
+      out jobs json tel =
     with_io tel @@ fun () ->
-    let topo_ctx =
-      resolve_topology ~n:p.Placement.Params.n topo level_name fail_domains
-        spread
-    in
-    let inst = Placement.Instance.of_params p in
+    let domains, topo_ctx = topo ~n:p.Placement.Params.n in
+    let inst = Placement.Instance.of_params ?domains p in
     let rng = Combin.Rng.create seed in
     let layout = plan_layout (module S) ~rng inst in
     let attack, domain_attack =
@@ -922,10 +921,9 @@ let simulate_term =
         if not json then Fmt.pr "  layout written to %s@." path
   in
   Term.(
-    const run $ params_term $ topology_term $ domain_level_arg
-    $ fail_domains_arg $ spread_arg $ strategy_term ~default:"combo"
-    $ seed_arg ~default:42 ~doc:"PRNG seed." $ out_arg $ jobs_term $ json_flag
-    $ telemetry_term)
+    const run $ params_term $ topology_args_term
+    $ strategy_term ~default:"combo" $ seed_arg ~default:42 ~doc:"PRNG seed."
+    $ out_arg $ jobs_term $ json_flag $ telemetry_term)
 
 (* ------------------------------------------------------------------ *)
 (* strategies *)
@@ -941,7 +939,7 @@ let strategies_term =
              (String.concat ","
                 (List.map Placement.Strategy.capability_name S.capabilities)))
           S.describe)
-      (Placement.Strategies.all ())
+      Placement.Strategies.all
   in
   Term.(const run $ const ())
 

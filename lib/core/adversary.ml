@@ -239,21 +239,24 @@ let local_search ~rng ?(restarts = 8) ?pool layout ~s ~k =
     candidates;
   !best
 
-let attack ?pool ?rng ?(restarts = 8) ?(exact_limit = 5e7) layout ~s ~k =
-  Telemetry.Span.time m_attack_span @@ fun () ->
-  let rng = match rng with Some r -> r | None -> Combin.Rng.create 0xADE5 in
-  let n = layout.Layout.n in
+let exact_limit = 5e7
+
+(* Estimated exact-search work: search-tree leaves times per-node update
+   cost (the average number of objects per node). *)
+let attack_cost ~n ~r ~b ~k =
   let combos =
     match Combin.Binomial.exact_opt n k with
     | Some c -> float_of_int c
     | None -> infinity
   in
-  (* Estimated work: search-tree leaves times per-node update cost (the
-     average number of objects per node). *)
-  let avg_degree =
-    float_of_int (layout.Layout.r * Layout.b layout) /. float_of_int n
-  in
-  if combos *. avg_degree <= exact_limit then begin
+  combos *. (float_of_int (r * b) /. float_of_int n)
+
+let attack ?pool ?rng ?(restarts = 8) layout ~s ~k =
+  Telemetry.Span.time m_attack_span @@ fun () ->
+  let rng = match rng with Some r -> r | None -> Combin.Rng.create 0xADE5 in
+  let n = layout.Layout.n in
+  let cost = attack_cost ~n ~r:layout.Layout.r ~b:(Layout.b layout) ~k in
+  if cost <= exact_limit then begin
     Telemetry.Counter.incr m_attack_exact;
     let result = exact ?pool layout ~s ~k in
     if not result.exact then
@@ -270,7 +273,7 @@ let attack ?pool ?rng ?(restarts = 8) ?(exact_limit = 5e7) layout ~s ~k =
         m
           "adversary search space too large on n=%d b=%d s=%d k=%d \
            (~%.3g evals): result is heuristic (local search, %d restarts)"
-          n (Layout.b layout) s k (combos *. avg_degree) restarts);
+          n (Layout.b layout) s k cost restarts);
     local_search ~rng ~restarts ?pool layout ~s ~k
   end
 

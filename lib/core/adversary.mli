@@ -97,11 +97,18 @@ val local_search :
     draws from its own pre-split child of [rng] (see
     {!Combin.Rng.split_n}), so the result does not depend on [pool]. *)
 
+val exact_limit : float
+(** 5e7: the largest {!attack_cost} {!attack} still searches exactly. *)
+
+val attack_cost : n:int -> r:int -> b:int -> k:int -> float
+(** The exact search's estimated work, C(n,k)·(r·b/n): search-tree
+    leaves times the average number of objects per node. *)
+
 val attack :
   ?pool:Engine.Pool.t -> ?rng:Combin.Rng.t -> ?restarts:int ->
-  ?exact_limit:float -> Layout.t -> s:int -> k:int -> attack
-(** The restart-plan front end: exact search when the estimated work
-    C(n,k)·(r·b/n) is below [exact_limit] (default 5e7), otherwise
+  Layout.t -> s:int -> k:int -> attack
+(** The restart-plan front end: exact search when {!attack_cost} is at
+    most {!exact_limit}, otherwise
     {!local_search} with [restarts] (default 8).  [rng] defaults to a
     fixed seed, making the result deterministic.  Logs (source
     ["placement.adversary"]) a warning when a truncated exact search

@@ -9,11 +9,11 @@ type tables = {
   s : int;
   max_mu : int;
   choose_tbl : int array array;  (* C(m, j), m <= n, j <= max r s *)
-  log_tbl : float array array;   (* ln C(m, j), same index range *)
   levels : Combo.level array;
 }
 
-type t = { params : Params.t; tables : tables }
+(* [domains = None] is the default map: every node its own domain. *)
+type t = { params : Params.t; tables : tables; domains : Spread.domains option }
 
 (* Cache-effectiveness stats: table builds are the expensive path,
    cell_aliases / param_reuses the O(1) sharing hits.  All Stable. *)
@@ -29,24 +29,35 @@ let build_tables ~max_mu ~n ~r ~s =
     s;
     max_mu;
     choose_tbl = Combin.Binomial.row_table ~rows:n ~cols:(max r s);
-    log_tbl =
-      Array.init (n + 1) (fun m ->
-          Array.init (max r s + 1) (fun j -> Combin.Binomial.log m j));
     levels = Combo.default_levels ~max_mu ~n ~r ~s ();
   }
 
-let of_params ?(max_mu = 1) (p : Params.t) =
-  { params = p; tables = build_tables ~max_mu ~n:p.n ~r:p.r ~s:p.s }
+let check_domains ~n (d : Spread.domains) =
+  if Array.length d.domain_of <> n then
+    invalid_arg
+      (Printf.sprintf "Instance: the domain map covers %d nodes but n = %d"
+         (Array.length d.domain_of) n);
+  if d.cap < 1 then
+    invalid_arg (Printf.sprintf "Instance: spread cap %d must be >= 1" d.cap);
+  if Array.exists (fun id -> id < 0) d.domain_of then
+    invalid_arg "Instance: the domain map has a negative domain id"
 
-let make ?max_mu ~b ~r ~s ~n ~k () = of_params ?max_mu (Params.make ~b ~r ~s ~n ~k)
+let of_params ?(max_mu = 1) ?domains (p : Params.t) =
+  Option.iter (check_domains ~n:p.n) domains;
+  { params = p; tables = build_tables ~max_mu ~n:p.n ~r:p.r ~s:p.s; domains }
+
+let make ?max_mu ?domains ~b ~r ~s ~n ~k () =
+  of_params ?max_mu ?domains (Params.make ~b ~r ~s ~n ~k)
 
 let with_params t (p : Params.t) =
   let { n; r; s; max_mu; _ } = t.tables in
+  if p.n <> n && t.domains <> None then
+    invalid_arg "Instance.with_params: n changes under an explicit domain map";
   if p.n = n && p.r = r && p.s = s then begin
     Telemetry.Counter.incr m_reuses;
     { t with params = p }
   end
-  else { params = p; tables = build_tables ~max_mu ~n:p.n ~r:p.r ~s:p.s }
+  else { t with params = p; tables = build_tables ~max_mu ~n:p.n ~r:p.r ~s:p.s }
 
 let with_cell t ~b ~k =
   let p = t.params in
@@ -64,26 +75,23 @@ let choose t m j =
   end
   else Combin.Binomial.exact m j
 
-let log_choose t m j =
-  let tbl = t.tables.log_tbl in
-  if m >= 0 && m < Array.length tbl && j >= 0 && j < Array.length tbl.(0) then
-    tbl.(m).(j)
-  else Combin.Binomial.log m j
 let levels t = t.tables.levels
-let level_capacity t ~x = t.tables.levels.(x).Combo.cap_mu
 let load_cap t = Params.load_cap t.params
-let average_load t = Params.average_load t.params
 
-let attack_cost t =
-  let p = t.params in
-  let combos =
-    match Combin.Binomial.exact_opt p.n p.k with
-    | Some c -> float_of_int c
-    | None -> infinity
-  in
-  combos *. (float_of_int (p.r * p.b) /. float_of_int p.n)
-
-let exact_attack_affordable ?(limit = 5e7) t = attack_cost t <= limit
+(* The default map, that of a one-level node:n topology.  Built here
+   rather than in Spread so that binaries which never plan a spread
+   family do not link Spread. *)
+let domains t =
+  match t.domains with
+  | Some d -> d
+  | None ->
+      let n = t.params.n in
+      {
+        Spread.domain_of = Array.init n Fun.id;
+        cap = 1;
+        level = "node";
+        summary = Printf.sprintf "%d nodes, 1 levels: node x%d" n n;
+      }
 
 let combo_config t = Combo.optimize ~choose:(choose t) ~levels:t.tables.levels t.params
 
@@ -102,7 +110,6 @@ let copyset ~rng ?scatter_width t =
   (cs, Copyset.place ~rng cs ~b:p.b)
 
 let pr_avail t = Random_analysis.pr_avail t.params
-let pr_avail_fraction t = (Random_analysis.report t.params).Random_analysis.fraction
 let rnd_report t = Random_analysis.report t.params
 
 let attack ?pool ?rng t layout =

@@ -1,7 +1,8 @@
 (** A first-class placement problem instance: the paper's parameters
-    (n, r, s, k, b) bundled with memoized combinatorial tables that every
-    consumer — CLI subcommands, experiment grids, examples, strategies —
-    shares instead of re-deriving per call site.
+    (n, r, s, k, b) and the cluster's fault-domain map, bundled with
+    memoized combinatorial tables that every consumer — CLI
+    subcommands, experiment grids, examples, strategies — shares
+    instead of re-deriving per call site.
 
     The cached tables are:
 
@@ -9,9 +10,7 @@
       quantities of Lemmas 1–3: packing capacities λ·C(nx,x+1)/C(r,x+1)
       and loss terms λ·C(k,x+1)/C(s,x+1));
     - the per-x capacity/design table from the design registry
-      ({!Combo.default_levels}), i.e. the Sec. III-C nx selection;
-    - the adversary work estimate C(n,k)·(r·b/n) used by
-      {!Adversary.attack}'s exact-vs-heuristic dispatch.
+      ({!Combo.default_levels}), i.e. the Sec. III-C nx selection.
 
     {b Domain safety}: a [t] is immutable after construction — all tables
     are built eagerly in {!make}/{!of_params}, never lazily — so it can be
@@ -25,23 +24,36 @@
 
 type t
 
-val make : ?max_mu:int -> b:int -> r:int -> s:int -> n:int -> k:int -> unit -> t
+val make :
+  ?max_mu:int -> ?domains:Spread.domains ->
+  b:int -> r:int -> s:int -> n:int -> k:int -> unit -> t
 (** Validate the Fig. 1 constraints and build all tables eagerly.
     [max_mu] (default 1) bounds the design multiplicity considered by the
-    level table.  @raise Invalid_argument on invalid parameters. *)
+    level table.  [domains] (default: every node its own domain at cap
+    1, the map of a one-level [node:n] topology) is the fault-domain map
+    the spread families plan against.  @raise Invalid_argument on
+    invalid parameters or a domain map of length ≠ n, cap < 1 or with a
+    negative id. *)
 
-val of_params : ?max_mu:int -> Params.t -> t
+val of_params : ?max_mu:int -> ?domains:Spread.domains -> Params.t -> t
 
 val with_params : t -> Params.t -> t
-(** Re-target the instance at new parameters.  The cached tables are
-    reused when (n, r, s) and [max_mu] are unchanged (O(1)); otherwise
-    they are rebuilt from scratch. *)
+(** Re-target the instance at new parameters, keeping the domain map
+    (the default map follows n).  The cached tables are reused when
+    (n, r, s) and [max_mu] are unchanged (O(1)); otherwise they are
+    rebuilt from scratch.  @raise Invalid_argument when n changes under
+    an explicit domain map. *)
 
 val with_cell : t -> b:int -> k:int -> t
 (** [with_params] for a (b, k) grid cell of the same (n, r, s) table;
-    always reuses the tables.  @raise Invalid_argument on invalid b/k. *)
+    always reuses the tables and the domain map.
+    @raise Invalid_argument on invalid b/k. *)
 
 val params : t -> Params.t
+
+val domains : t -> Spread.domains
+(** The fault-domain map (the default one when none was given). *)
+
 val pp : Format.formatter -> t -> unit
 
 (** {2 Cached combinatorics} *)
@@ -52,28 +64,11 @@ val choose : t -> int -> int -> int
     the table saturated).  Pass this to {!Combo.optimize},
     {!Combo.lb_avail_co} and {!Analysis.lb_avail_si_report}. *)
 
-val log_choose : t -> int -> int -> float
-(** ln C(m, j), via the globally cached log-factorials. *)
-
 val levels : t -> Combo.level array
 (** The per-x design/capacity table for this (n, r, s) — one registry
     scan per instance, not per optimize call. *)
 
-val level_capacity : t -> x:int -> int
-(** [cap_mu] of level x: objects hosted per μ-copy of the selected
-    design, μx·C(nx,x+1)/C(r,x+1) (0 when no design exists). *)
-
 val load_cap : t -> int
-val average_load : t -> float
-
-val attack_cost : t -> float
-(** The adversary's estimated exact-search work, C(n,k)·(r·b/n) — the
-    same quantity {!Adversary.attack} compares against its
-    [exact_limit]. *)
-
-val exact_attack_affordable : ?limit:float -> t -> bool
-(** [attack_cost t <= limit] (default 5e7, {!Adversary.attack}'s
-    default). *)
 
 (** {2 Derived placements and analyses}
 
@@ -95,8 +90,6 @@ val copyset : rng:Combin.Rng.t -> ?scatter_width:int -> t -> Copyset.t * Layout.
 
 val pr_avail : t -> int
 (** Definition 6's prAvail_rnd for these parameters. *)
-
-val pr_avail_fraction : t -> float
 
 val rnd_report : t -> Random_analysis.rnd_report
 (** The full {!Random_analysis.report} for these parameters. *)

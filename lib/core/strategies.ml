@@ -1,4 +1,4 @@
-(* The six built-in placement families behind one Strategy.S interface.
+(* The eight built-in placement families behind one Strategy.S interface.
 
    Shared conventions:
    - randomized families default their rng to seed 42 (matching the CLI's
@@ -7,7 +7,8 @@
      has one.  Random and Copyset get the x = 0 instance of Lemma 2: a
      layout whose max per-node load is λ is a Simple(0, λ) placement, so
      at most ⌊λ·C(k,1)/C(s,1)⌋ = ⌊λk/s⌋ objects die.  For Random the cap
-     ⌈r·b/n⌉ bounds λ a priori; Copyset needs the realized layout. *)
+     ⌈r·b/n⌉ bounds λ a priori; Copyset and the spread families need
+     the realized layout. *)
 
 let default_rng rng = match rng with Some r -> r | None -> Combin.Rng.create 42
 
@@ -17,6 +18,17 @@ let load_bound inst lambda =
   (Analysis.lb_avail_si_report ~choose:(Instance.choose inst) ~b:p.Params.b
      ~x:0 ~lambda ~k:p.Params.k ~s:p.Params.s ())
     .Analysis.lb_clamped
+
+(* load_bound at the realized layout's max load: the given layout, or a
+   default-rng plan.  A plan that raises Invalid_argument (a spread cap
+   leaving fewer than r slots) gives None: report assembly stays
+   total. *)
+let realized_bound ~plan ?layout inst =
+  match layout with
+  | Some l -> Some (load_bound inst (Layout.max_load l))
+  | None -> (
+      try Some (load_bound inst (Layout.max_load (plan inst)))
+      with Invalid_argument _ -> None)
 
 module Combo_s = struct
   let name = "combo"
@@ -142,10 +154,7 @@ module Copyset_s = struct
 
   let capabilities = [ Strategy.Randomized ]
   let plan ?rng inst = snd (Instance.copyset ~rng:(default_rng rng) inst)
-
-  let lower_bound ?layout inst =
-    let layout = match layout with Some l -> l | None -> plan inst in
-    Some (load_bound inst (Layout.max_load layout))
+  let lower_bound = realized_bound ~plan
 
   let explain inst =
     let p = Instance.params inst in
@@ -223,27 +232,72 @@ module Optimal_s = struct
       ]
 end
 
-let () =
-  List.iter Strategy.register
-    [
-      (module Simple_s : Strategy.S);
-      (module Combo_s : Strategy.S);
-      (module Random_s : Strategy.S);
-      (module Copyset_s : Strategy.S);
-      (module Adaptive_s : Strategy.S);
-      (module Optimal_s : Strategy.S);
-    ]
+(* The spread families plan against the instance's fault-domain map
+   (Instance.domains; every node its own domain by default). *)
+let spread_explain ~name inst =
+  let p = Instance.params inst and d = Instance.domains inst in
+  let immune = (p.Params.s - 1) / d.Spread.cap in
+  [
+    Printf.sprintf "topology: %s" d.Spread.summary;
+    Printf.sprintf "constraint: at most %d replica(s) per %s (%s)" d.Spread.cap
+      d.Spread.level name;
+    (if immune > 0 then
+       Printf.sprintf
+         "any %d simultaneous %s failure(s) kill zero objects (j*cap < s=%d)"
+         immune d.Spread.level p.Params.s
+     else
+       Printf.sprintf "no domain-failure immunity at cap %d (s=%d)" d.Spread.cap
+         p.Params.s);
+  ]
 
-let find = Strategy.find
-let names = Strategy.names
-let all = Strategy.all
+module Simple_spread_s = struct
+  let name = "simple-spread"
+  let describe =
+    "deterministic round-robin across fault domains, at most cap replicas per \
+     domain"
 
-let get name =
-  match Strategy.find name with
-  | Some s -> s
-  | None ->
-      invalid_arg
-        (Printf.sprintf "unknown strategy %S; available: %s" name
-           (String.concat ", " (Strategy.names ())))
+  let capabilities = [ Strategy.Deterministic; Strategy.Domain_capped ]
+
+  let plan ?rng:_ inst =
+    let p = Instance.params inst in
+    Spread.simple (Instance.domains inst) ~b:p.Params.b ~r:p.Params.r
+
+  let lower_bound = realized_bound ~plan
+  let explain = spread_explain ~name
+end
+
+module Random_spread_s = struct
+  let name = "random-spread"
+  let describe =
+    "randomized placement constrained to at most cap replicas per fault \
+     domain"
+
+  let capabilities = [ Strategy.Randomized; Strategy.Domain_capped ]
+
+  let plan ?rng inst =
+    let p = Instance.params inst in
+    Spread.random ~rng:(default_rng rng) (Instance.domains inst) ~b:p.Params.b
+      ~r:p.Params.r
+
+  let lower_bound = realized_bound ~plan
+  let explain = spread_explain ~name
+end
+
+let all : (module Strategy.S) list =
+  [
+    (module Adaptive_s);
+    (module Combo_s);
+    (module Copyset_s);
+    (module Optimal_s);
+    (module Random_s);
+    (module Random_spread_s);
+    (module Simple_s);
+    (module Simple_spread_s);
+  ]
+
+let names = List.map (fun (module S : Strategy.S) -> S.name) all
+
+let find name =
+  List.find_opt (fun (module S : Strategy.S) -> S.name = name) all
 
 let display_name (module M : Strategy.S) = String.capitalize_ascii M.name

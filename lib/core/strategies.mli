@@ -1,20 +1,15 @@
-(** The built-in placement families as registered {!Strategy.S} modules.
+(** The built-in placement families as {!Strategy.S} modules: [adaptive],
+    [combo], [copyset], [optimal], [random], [random-spread], [simple]
+    and [simple-spread]. *)
 
-    Linking this module (any lookup below) registers all six families —
-    [simple], [combo], [random], [copyset], [adaptive], [optimal] — into
-    the {!Strategy} registry; consumers should resolve names through
-    these wrappers so registration is guaranteed to have happened. *)
+val all : (module Strategy.S) list
+(** Every family, in name order. *)
+
+val names : string list
+(** The names of {!all}, sorted. *)
 
 val find : string -> (module Strategy.S) option
 
-val get : string -> (module Strategy.S)
-(** @raise Invalid_argument on an unknown name, with a message listing
-    the registered strategies. *)
-
-val names : unit -> string list
-
-val all : unit -> (module Strategy.S) list
-
 val display_name : (module Strategy.S) -> string
-(** Capitalized registry name, e.g. ["Combo"] — the spelling the CLI's
-    report lines use. *)
+(** Capitalized name, e.g. ["Combo"] — the spelling the CLI's report
+    lines use. *)

@@ -1,4 +1,10 @@
-type capability = Deterministic | Randomized | Load_balanced | Online | Exact_small
+type capability =
+  | Deterministic
+  | Randomized
+  | Load_balanced
+  | Online
+  | Exact_small
+  | Domain_capped
 
 let capability_name = function
   | Deterministic -> "deterministic"
@@ -6,6 +12,7 @@ let capability_name = function
   | Load_balanced -> "load-balanced"
   | Online -> "online"
   | Exact_small -> "exact-small"
+  | Domain_capped -> "domain-capped"
 
 module type S = sig
   val name : string
@@ -15,35 +22,6 @@ module type S = sig
   val lower_bound : ?layout:Layout.t -> Instance.t -> int option
   val explain : Instance.t -> string list
 end
-
-(* The registry is populated at module-initialization time (Strategies
-   registers the built-ins before any consumer code runs) and read-only
-   afterwards, so plain mutable state needs no synchronization. *)
-let registry : (string, (module S)) Hashtbl.t = Hashtbl.create 16
-
-let register (module M : S) =
-  if Hashtbl.mem registry M.name then
-    invalid_arg ("Strategy.register: duplicate strategy " ^ M.name);
-  Hashtbl.replace registry M.name (module M : S)
-
-let find name = Hashtbl.find_opt registry name
-
-(* Re-exports: the analysis layer's labeled records, surfaced here so
-   consumers of the strategy API never import Analysis/Random_analysis
-   just to name a result field. *)
-type lb_report = Analysis.lb_report = {
-  lb : int;
-  lb_clamped : int;
-  failed_ub : int;
-  vacuous : bool;
-}
-
-type rnd_report = Random_analysis.rnd_report = {
-  p_fail : float;
-  pr_avail : int;
-  fraction : float;
-  lemma4_upper : float option;
-}
 
 type report = {
   strategy : string;
@@ -66,8 +44,3 @@ let report ?layout (module M : S) inst =
         ~n:p.Params.n ~k:p.Params.k;
     notes = M.explain inst;
   }
-
-let names () =
-  Hashtbl.fold (fun name _ acc -> name :: acc) registry [] |> List.sort compare
-
-let all () = List.filter_map find (names ())

@@ -1,15 +1,10 @@
 (** Pluggable placement strategies over a shared {!Instance}.
 
     Every placement family in the repo — Simple, Combo, Random, Copyset,
-    Adaptive, Optimal — implements the one module type {!S}, and a
-    name-keyed registry makes them discoverable by every consumer layer
-    (CLI [--strategy] dispatch, experiment drivers, examples) without
-    hand-wired parameter plumbing per family.
-
-    Use {!Strategies} (which registers the six built-in families as a
-    side effect of linking) rather than this module directly when looking
-    strategies up; {!register} is exposed so tests and downstream code
-    can add their own families to the same dispatch surface. *)
+    Adaptive, Optimal and the two spread families — implements the one
+    module type {!S}; {!Strategies.all} lists them, so every consumer
+    layer (CLI [--strategy] dispatch, DST invariants, tests) reaches
+    them without hand-wired parameter plumbing per family. *)
 
 type capability =
   | Deterministic  (** [plan] ignores its [rng] *)
@@ -19,12 +14,15 @@ type capability =
   | Online  (** supports incremental object arrival/departure *)
   | Exact_small
       (** exhaustive search; [plan] raises on instances over budget *)
+  | Domain_capped
+      (** the planned layout puts at most [cap] replicas of an object in
+          any one domain of the instance's {!Instance.domains} *)
 
 val capability_name : capability -> string
 
 module type S = sig
   val name : string
-  (** Registry key, lowercase (e.g. ["combo"]). *)
+  (** Lookup key, lowercase (e.g. ["combo"]). *)
 
   val describe : string
   (** One-line human description for listings. *)
@@ -49,24 +47,8 @@ module type S = sig
       CLI's [plan] subcommand; may be empty. *)
 end
 
-type lb_report = Analysis.lb_report = {
-  lb : int;
-  lb_clamped : int;
-  failed_ub : int;
-  vacuous : bool;
-}
-(** Re-export of {!Analysis.lb_report} (Lemma 2). *)
-
-type rnd_report = Random_analysis.rnd_report = {
-  p_fail : float;
-  pr_avail : int;
-  fraction : float;
-  lemma4_upper : float option;
-}
-(** Re-export of {!Random_analysis.rnd_report} (Theorem 2 / Lemma 4). *)
-
 type report = {
-  strategy : string;  (** registry name *)
+  strategy : string;  (** the strategy's name *)
   capabilities : capability list;
   params : Params.t;  (** the analyzed cell *)
   lower_bound : int option;  (** the family's worst-case guarantee *)
@@ -80,13 +62,3 @@ type report = {
 val report : ?layout:Layout.t -> (module S) -> Instance.t -> report
 (** Assemble a {!report}; [layout] is forwarded to [lower_bound] for
     families whose bound depends on the realized layout. *)
-
-val register : (module S) -> unit
-(** @raise Invalid_argument on a duplicate name. *)
-
-val find : string -> (module S) option
-val names : unit -> string list
-(** Registered names, sorted. *)
-
-val all : unit -> (module S) list
-(** All registered strategies, in name order. *)

@@ -45,8 +45,9 @@ let lower_bound =
   {
     name;
     describe =
-      "availability never falls below the live Lemma-3 guarantee (current \
-       set while ≤ k nodes are down, and the greedy worst case always)";
+      "availability never falls below the live Lemma-3 guarantee (for the \
+       current set of f down nodes at k' = max(k, f), and for the greedy \
+       worst case always)";
     cadence = Step;
     check =
       (fun ctx ->
@@ -54,10 +55,19 @@ let lower_bound =
         let lb = Churn.lower_bound eng in
         let failed = Array.length (Churn.failed_nodes eng) in
         let avail = Churn.available eng in
-        if failed <= Churn.k eng && avail < lb then
-          fail name
-            "available %d < lower bound %d with only %d ≤ k = %d nodes down"
-            avail lb failed (Churn.k eng);
+        if failed <= Churn.k eng then begin
+          if avail < lb then
+            fail name
+              "available %d < lower bound %d with only %d ≤ k = %d nodes down"
+              avail lb failed (Churn.k eng)
+        end
+        else begin
+          (* Lemma 3 holds at any k': check the current set at k' = f. *)
+          let lb_f = Churn.lower_bound ~k:failed eng in
+          if avail < lb_f then
+            fail name "available %d < lower bound %d at k' = %d nodes down"
+              avail lb_f failed
+        end;
         let rs = Lazy.force ctx.rescore in
         if rs.Churn.worst_available < lb then
           fail name "worst-case available %d < lower bound %d"
@@ -163,16 +173,33 @@ let replay =
 let builtins = [ oracle; lower_bound; movement; in_service; replay ]
 
 (* ------------------------------------------------------------------ *)
-(* Per-strategy auto-discovery. *)
+(* Per-strategy promises. *)
+
+(* A Domain_capped plan keeps at most [cap] replicas of an object in one
+   domain, so failing j = ⌊(s−1)/cap⌋ whole domains kills nothing. *)
+let check_domain_cap name layout ~s tree ~level (d : Placement.Spread.domains) =
+  let worst = Placement.Spread.max_per_domain layout d in
+  if worst > d.cap then
+    fail name "an object has %d replicas in one %s, above the cap %d" worst
+      d.level d.cap;
+  let j = (s - 1) / d.cap in
+  if j >= 1 && j < Topology.Tree.domain_count tree ~level then begin
+    let atk = Topology.Adversary.attack layout ~s tree ~level ~j in
+    if atk.Topology.Adversary.failed_objects > 0 then
+      fail name
+        "failing %d %s(s) kills %d objects; cap %d with s = %d promises none"
+        j d.level atk.Topology.Adversary.failed_objects d.cap s
+  end
 
 let of_strategy (module S : Placement.Strategy.S) =
   let name = "strategy/" ^ S.name in
+  let capped = List.mem Placement.Strategy.Domain_capped S.capabilities in
   {
     name;
     describe =
       Printf.sprintf
-        "%s's plan at the live population honours its own load cap and \
-         lower bound under greedy attack"
+        "%s's plan at the live population honours its own load cap, domain \
+         cap and lower bound under greedy attack"
         S.name;
     cadence = Pulse;
     check =
@@ -192,9 +219,14 @@ let of_strategy (module S : Placement.Strategy.S) =
           match Placement.Params.validate params with
           | Error _ -> ()
           | Ok p -> (
-              let inst = Placement.Instance.of_params p in
+              (* The engine's own fault domains, one level above the
+                 nodes, at cap 1. *)
+              let tree = Churn.topology eng in
+              let level = Topology.Tree.default_level tree in
+              let domains = Topology.Spec.domains tree ~level ~cap:1 in
+              let inst = Placement.Instance.of_params ~domains p in
               (* A strategy that cannot plan this cell (search budget,
-                 missing configuration) is skipped, not failed — the
+                 too few domains for r) is skipped, not failed — the
                  invariant polices promises, not applicability. *)
               match S.plan inst with
               | exception _ -> ()
@@ -210,6 +242,9 @@ let of_strategy (module S : Placement.Strategy.S) =
                        b = %d"
                       (Placement.Params.load_cap p)
                       b;
+                  if capped then
+                    check_domain_cap name layout ~s:params.s tree ~level
+                      domains;
                   (match S.lower_bound ~layout inst with
                   | None -> ()
                   | Some lb ->

@@ -48,9 +48,9 @@ val builtins : t list
     - [engine/oracle] ([Step]): {!Dsim.Churn.check} — incremental
       kernel, adaptive bookkeeping, availability, adversary picks all ≡
       from-scratch recomputation;
-    - [availability/lower-bound] ([Step]): current availability (while
-      at most k nodes are down) and the worst-case rescore never fall
-      below the live Lemma-3 guarantee;
+    - [availability/lower-bound] ([Step]): current availability never
+      falls below the live Lemma-3 guarantee at k' = max(k, f) for f
+      nodes down, nor the worst-case rescore below it at k;
     - [movement/budget] ([Step]): a create moves exactly r replicas, a
       leave at most r·load(leaver), everything else nothing;
     - [placement/in-service] ([Pulse]): no live replica sits on a node
@@ -60,13 +60,17 @@ val builtins : t list
       moved/bound state and the same layout. *)
 
 val of_strategy : (module Placement.Strategy.S) -> t
-(** Auto-discovered per-strategy invariant ([strategy/<name>], [Pulse]):
-    plan the strategy at the live population's parameter cell and check
-    the plan against its own promises — the ⌈r·b/n⌉ load cap when it
-    claims [Load_balanced], and availability under a greedy k-attack ≥
-    its {!Placement.Strategy.S.lower_bound}.  Cells the strategy cannot
-    handle (invalid parameters, over an [Exact_small] budget, missing
-    configuration) are skipped, not failed. *)
+(** Per-strategy invariant ([strategy/<name>], [Pulse]): plan the
+    strategy at the live population's parameter cell, on the engine's
+    fault domains one level above the nodes at cap 1, and check the
+    plan against its own promises — the ⌈r·b/n⌉ load cap when it claims
+    [Load_balanced]; when it claims [Domain_capped], at most cap
+    replicas of an object per domain and no object killed by failing
+    j = ⌊(s−1)/cap⌋ domains (checked when 1 ≤ j < the domain count);
+    and availability under a greedy k-attack ≥ its
+    {!Placement.Strategy.S.lower_bound}.  Cells the strategy cannot
+    plan (invalid parameters, over an [Exact_small] budget, fewer
+    domain slots than r) are skipped, not failed. *)
 
 val canaries : t list
 (** Deliberately broken invariants, off by default, enabled by name via

@@ -82,7 +82,7 @@ let nodes_in_service t =
   Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 t.in_service
 
 let available t = live t - Placement.Kernel.Dyn.killed t.dyn
-let lower_bound t = Placement.Adaptive.lower_bound t.placement
+let lower_bound ?k t = Placement.Adaptive.lower_bound ?k t.placement
 let layout t = Placement.Adaptive.layout t.placement
 
 let failed_nodes t =

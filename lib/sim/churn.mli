@@ -84,7 +84,10 @@ val node_load : t -> int -> int
 val available : t -> int
 (** Live objects not killed by the current outages (incremental). *)
 
-val lower_bound : t -> int
+val lower_bound : ?k:int -> t -> int
+(** The live Lemma-3 guarantee against [k] failures (default: the
+    engine's k). *)
+
 val layout : t -> Placement.Layout.t
 (** Snapshot of the live placement (increasing object-id order). *)
 

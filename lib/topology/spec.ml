@@ -75,6 +75,15 @@ let summary t =
   Printf.sprintf "%d nodes, %d levels: %s" (Tree.n t) (Tree.depth t)
     (String.concat ", " levels)
 
+let domains t ~level ~cap =
+  {
+    Placement.Spread.domain_of =
+      Array.init (Tree.n t) (fun nd -> Tree.domain_of t ~level nd);
+    cap;
+    level = Tree.level_name t level;
+    summary = summary t;
+  }
+
 let json t =
   let module J = Telemetry.Json in
   let level l =

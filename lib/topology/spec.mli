@@ -18,6 +18,13 @@ val parse_exn : string -> Tree.t
 val summary : Tree.t -> string
 (** One line, e.g. ["30 nodes, 3 levels: zone x2, rack x6, node x30"]. *)
 
+val domains : Tree.t -> level:int -> cap:int -> Placement.Spread.domains
+(** The tree's domains at [level] as the plain map a
+    {!Placement.Instance} carries, at most [cap] replicas per domain;
+    its [summary] is {!summary}.  [domains (parse_exn "node:n") ~level:0
+    ~cap:1] is {!Placement.Instance}'s default map.
+    @raise Invalid_argument on a level out of range. *)
+
 val json : Tree.t -> Telemetry.Json.t
 (** [{"nodes": n, "levels": [{"name", "domains", "min_size",
     "max_size"} ...]}], coarsest level first — the [--json] payload of

@@ -93,6 +93,8 @@ let level_name t l =
 
 let level_names t = Array.copy t.level_names
 
+let default_level t = min 1 (depth t - 1)
+
 let find_level t name =
   let found = ref None in
   Array.iteri
@@ -126,13 +128,3 @@ let uniform t ~level =
   let s = sizes t ~level in
   let sz = s.(0) in
   if Array.for_all (fun x -> x = sz) s then Some sz else None
-
-let pp fmt t =
-  Format.fprintf fmt "%d nodes; %s" t.n
-    (String.concat ", "
-       (List.rev
-          (Array.to_list
-             (Array.mapi
-                (fun l name ->
-                  Printf.sprintf "%s x%d" name (Array.length t.members.(l)))
-                t.level_names))))

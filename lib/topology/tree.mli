@@ -35,6 +35,10 @@ val depth : t -> int
 val level_name : t -> int -> string
 val level_names : t -> string array
 
+val default_level : t -> int
+(** The first level above the nodes (the node level on a depth-1
+    tree): where domain failures and spread caps act by default. *)
+
 val find_level : t -> string -> int option
 (** Level index of a named level. *)
 
@@ -56,6 +60,3 @@ val parent : t -> level:int -> int -> int
 
 val uniform : t -> level:int -> int option
 (** [Some size] when every domain at the level has the same size. *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line summary, e.g. [30 nodes; zone x2, rack x6, node x30]. *)

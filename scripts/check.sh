@@ -132,20 +132,23 @@ grep -q '"reason": "signal"' serve_sigterm.out ||
   { echo "check.sh: SIGTERM drain summary does not name the signal" >&2; exit 1; }
 rm -f serve_sigterm.out
 
-# Dst gates.  (1) Pinned seed sweep: 3 seeds x 2 profiles x 2
-# strategies through the deterministic simulation harness with fault
-# injection armed — every invariant (engine oracle, Lemma-3 lower
-# bound, movement budget, in-service placement, replay, per-strategy
+# Dst gates.  (1) Pinned seed sweep: 3 seeds x 3 profiles x 4
+# strategies (the spread families on the cascade profile's racks)
+# through the deterministic simulation harness with fault injection
+# armed — every invariant (engine oracle, Lemma-3 lower bound,
+# movement budget, in-service placement, replay, per-strategy
 # promises) must hold on every step, and the envelope must be
 # bit-identical at -j1 and -j4 (per-domain injection arming keeps
 # pool-fanned runs deterministic).
 dune exec bin/placement_tool.exe -- dst -n 20 --seed 1 --runs 3 \
-  --steps 150 --measure-every 50 --profile steady,storm \
-  --strategy combo,simple --inject 30 --json -j1 > dst_j1.json ||
+  --steps 150 --measure-every 50 --profile steady,storm,cascade \
+  --strategy combo,simple,simple-spread,random-spread --inject 30 \
+  --json -j1 > dst_j1.json ||
   { echo "check.sh: dst sweep reported an invariant violation (see dst_j1.json)" >&2; exit 1; }
 dune exec bin/placement_tool.exe -- dst -n 20 --seed 1 --runs 3 \
-  --steps 150 --measure-every 50 --profile steady,storm \
-  --strategy combo,simple --inject 30 --json -j4 > dst_j4.json ||
+  --steps 150 --measure-every 50 --profile steady,storm,cascade \
+  --strategy combo,simple,simple-spread,random-spread --inject 30 \
+  --json -j4 > dst_j4.json ||
   { echo "check.sh: dst sweep reported an invariant violation at -j4" >&2; exit 1; }
 cmp dst_j1.json dst_j4.json ||
   { echo "check.sh: dst sweep envelope differs between -j1 and -j4" >&2; exit 1; }

@@ -195,7 +195,8 @@ let mk_config ?(seed = 1) ?(steps = 120) ?(inject_rate = 0) ?(breaks = [])
 
 let test_harness_clean_run () =
   let out =
-    Dst.Harness.run (mk_config ~strategy:(Placement.Strategies.get "combo") ())
+    Dst.Harness.run
+      (mk_config ~strategy:(Option.get (Placement.Strategies.find "combo")) ())
   in
   Alcotest.(check bool) "no violation" true (out.Dst.Harness.violation = None);
   Alcotest.(check bool) "events ran" true (out.Dst.Harness.applied > 0);

@@ -1,4 +1,4 @@
-(* Property tests for the Strategy registry: every registered family must
+(* Property tests over Placement.Strategies.all: every family must
    produce well-formed layouts, respect its advertised capabilities, and
    never promise more than the exact adversary delivers. *)
 
@@ -8,22 +8,40 @@ let qtest ?(count = 100) name gen prop =
     ~rand:(Random.State.make [| 0x57A7 |])
     (QCheck2.Test.make ~count ~name gen prop)
 
-(* Link the topology spread families so the registry is complete; they
-   decline every plan here (no ambient topology configured), which the
-   decline-tolerant harness below treats as a skip, not a failure. *)
-let () = Topology.Strategies.ensure_registered ()
-
-let strategies = Placement.Strategies.all ()
+let strategies = Placement.Strategies.all
 
 (* A strategy may legitimately decline an instance (Simple with no
    materialized design, Combo without enough capacity, Optimal over its
-   search budget); those skips are not failures.  Anything else a plan
-   raises is a real bug and propagates. *)
+   search budget, a spread family whose domain cap leaves fewer than r
+   slots); those skips are not failures.  Anything else a plan raises is
+   a real bug and propagates. *)
 let try_plan (module S : Placement.Strategy.S) ~rng inst =
   match S.plan ~rng inst with
   | layout -> Some layout
   | exception Invalid_argument _ -> None
   | exception Placement.Optimal.Too_large -> None
+
+(* On about half the instances, a random partition of the n nodes into
+   fault domains (ids renumbered densely) at cap 1-2; the rest keep the
+   default singleton map. *)
+let domains_gen n =
+  QCheck2.Gen.(
+    let* attach = bool in
+    if not attach then return None
+    else
+      let* count = int_range 1 n in
+      let* ids = array_repeat n (int_range 0 (count - 1)) in
+      let* cap = int_range 1 2 in
+      let distinct = List.sort_uniq compare (Array.to_list ids) in
+      let rank id = List.length (List.filter (fun d -> d < id) distinct) in
+      return
+        (Some
+           {
+             Placement.Spread.domain_of = Array.map rank ids;
+             cap;
+             level = "rack";
+             summary = "random partition";
+           }))
 
 let instance_gen =
   QCheck2.Gen.(
@@ -32,8 +50,9 @@ let instance_gen =
     let* s = int_range 1 r in
     let* k = int_range s (min 5 (n - 1)) in
     let* b = int_range 1 60 in
+    let* domains = domains_gen n in
     let* seed = int_range 0 10000 in
-    return (Placement.Instance.make ~b ~r ~s ~n ~k (), seed))
+    return (Placement.Instance.make ?domains ~b ~r ~s ~n ~k (), seed))
 
 (* Tiny instances where the branch-and-bound adversary is exact. *)
 let small_instance_gen =
@@ -43,8 +62,9 @@ let small_instance_gen =
     let* s = int_range 1 r in
     let* k = int_range s (min 3 (n - 1)) in
     let* b = int_range 1 12 in
+    let* domains = domains_gen n in
     let* seed = int_range 0 10000 in
-    return (Placement.Instance.make ~b ~r ~s ~n ~k (), seed))
+    return (Placement.Instance.make ?domains ~b ~r ~s ~n ~k (), seed))
 
 let sorted rep =
   let c = Array.copy rep in
@@ -85,6 +105,22 @@ let test_load_cap_respected =
           | None -> true
           | Some layout ->
               Placement.Layout.max_load layout <= Placement.Instance.load_cap inst)
+        strategies)
+
+let test_domain_cap_respected =
+  qtest ~count:60 "Domain_capped strategies respect the domain cap"
+    instance_gen
+    (fun (inst, seed) ->
+      let domains = Placement.Instance.domains inst in
+      List.for_all
+        (fun (module S : Placement.Strategy.S) ->
+          (not (List.mem Placement.Strategy.Domain_capped S.capabilities))
+          ||
+          match try_plan (module S) ~rng:(Combin.Rng.create seed) inst with
+          | None -> true
+          | Some layout ->
+              Placement.Spread.max_per_domain layout domains
+              <= domains.Placement.Spread.cap)
         strategies)
 
 let test_lower_bound_sound =
@@ -132,35 +168,28 @@ let test_codec_round_trip =
         strategies)
 
 (* ------------------------------------------------------------------ *)
-(* Registry plumbing *)
+(* The strategy list *)
 
 let test_registry () =
   Alcotest.(check (list string))
-    "all eight families registered"
+    "all eight families listed"
     [
       "adaptive"; "combo"; "copyset"; "optimal"; "random"; "random-spread";
       "simple"; "simple-spread";
     ]
-    (Placement.Strategies.names ());
-  (match Placement.Strategies.find "combo" with
-  | Some (module S) -> Alcotest.(check string) "find resolves" "combo" S.name
-  | None -> Alcotest.fail "combo not registered");
-  Alcotest.check_raises "unknown name raises with the available list"
-    (Invalid_argument
-       "unknown strategy \"bogus\"; available: adaptive, combo, copyset, \
-        optimal, random, random-spread, simple, simple-spread")
-    (fun () -> ignore (Placement.Strategies.get "bogus"));
-  let module Dup = struct
-    let name = "combo"
-    let describe = "duplicate"
-    let capabilities = []
-    let plan ?rng:_ inst = Placement.Instance.combo_layout inst
-    let lower_bound ?layout:_ _ = None
-    let explain _ = []
-  end in
-  Alcotest.check_raises "duplicate registration rejected"
-    (Invalid_argument "Strategy.register: duplicate strategy combo")
-    (fun () -> Placement.Strategy.register (module Dup))
+    Placement.Strategies.names;
+  Alcotest.(check (list string))
+    "names distinct and sorted"
+    (List.sort_uniq compare Placement.Strategies.names)
+    Placement.Strategies.names;
+  List.iter
+    (fun name ->
+      match Placement.Strategies.find name with
+      | Some (module S) -> Alcotest.(check string) "find resolves" name S.name
+      | None -> Alcotest.fail (name ^ " not found"))
+    Placement.Strategies.names;
+  Alcotest.(check bool) "unknown name" true
+    (Placement.Strategies.find "bogus" = None)
 
 let test_capabilities_coherent () =
   List.iter
@@ -203,6 +232,7 @@ let () =
         [
           test_plan_well_formed;
           test_load_cap_respected;
+          test_domain_cap_respected;
           test_lower_bound_sound;
           test_codec_round_trip;
         ] );

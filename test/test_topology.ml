@@ -1,5 +1,6 @@
 (* Tests for lib/topology: fault-domain trees, the domain adversary,
-   the domain-failure bound and the spread strategies. *)
+   the domain-failure bound, and the spread planners and strategies on
+   the domain maps a tree converts to. *)
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
@@ -346,53 +347,61 @@ let test_bound_sound =
 (* ------------------------------------------------------------------ *)
 (* Spread *)
 
+let rack_domains ?(cap = 1) tree = Topology.Spec.domains tree ~level:1 ~cap
+
 let test_spread_feasibility () =
   let tree = Topology.Build.regular ~racks:4 ~nodes_per_rack:5 in
-  Alcotest.(check int) "slots cap=1" 4 (Topology.Spread.slots tree ~level:1 ~cap:1);
-  Alcotest.(check int) "slots cap=2" 8 (Topology.Spread.slots tree ~level:1 ~cap:2);
-  (match Topology.Spread.check_feasible tree ~level:1 ~cap:1 ~r:3 with
+  Alcotest.(check int) "slots cap=1" 4
+    (Placement.Spread.slots (rack_domains ~cap:1 tree));
+  Alcotest.(check int) "slots cap=2" 8
+    (Placement.Spread.slots (rack_domains ~cap:2 tree));
+  (match Placement.Spread.check_feasible (rack_domains tree) ~r:3 with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  (match Topology.Spread.check_feasible tree ~level:1 ~cap:1 ~r:5 with
+  (match Placement.Spread.check_feasible (rack_domains tree) ~r:5 with
   | Ok () -> Alcotest.fail "r=5 cap=1 on 4 racks should be infeasible"
   | Error e ->
-      Alcotest.(check bool) "actionable message" true
-        (String.length e > 0
-        && String.starts_with ~prefix:"cannot place" e));
+      Alcotest.(check string) "actionable message"
+        "cannot place r=5 replicas with at most 1 per rack: the 4 racks offer \
+         only 4 replica slots (sum of min(cap, size)); raise the spread cap \
+         or use a finer topology"
+        e);
   Alcotest.(check bool) "simple raises when infeasible" true
     (raises_invalid (fun () ->
-         Topology.Spread.simple tree ~level:1 ~cap:1 ~b:10 ~r:5))
+         Placement.Spread.simple (rack_domains tree) ~b:10 ~r:5))
 
 let test_spread_cap_respected =
   qtest ~count:40 "spread planners respect the cap"
     QCheck2.Gen.(pair (int_range 0 1000) (int_range 1 2))
     (fun (seed, cap) ->
-      let tree = Topology.Build.partition ~n:13 ~domains:5 () in
-      let r = 3 and b = 30 in
-      let feasible =
-        Topology.Spread.slots tree ~level:1 ~cap >= r
+      let domains =
+        rack_domains ~cap (Topology.Build.partition ~n:13 ~domains:5 ())
       in
+      let r = 3 and b = 30 in
+      let feasible = Placement.Spread.slots domains >= r in
       if not feasible then QCheck2.assume_fail ()
       else begin
-        let simple = Topology.Spread.simple tree ~level:1 ~cap ~b ~r in
+        let simple = Placement.Spread.simple domains ~b ~r in
         let rng = Combin.Rng.create seed in
-        let random = Topology.Spread.random ~rng tree ~level:1 ~cap ~b ~r in
-        Topology.Spread.max_per_domain simple tree ~level:1 <= cap
-        && Topology.Spread.max_per_domain random tree ~level:1 <= cap
+        let random = Placement.Spread.random ~rng domains ~b ~r in
+        Placement.Spread.max_per_domain simple domains <= cap
+        && Placement.Spread.max_per_domain random domains <= cap
         && well_formed simple && well_formed random
       end)
 
 let test_spread_simple_deterministic () =
-  let tree = Topology.Build.regular ~racks:4 ~nodes_per_rack:5 in
-  let a = Topology.Spread.simple tree ~level:1 ~cap:1 ~b:40 ~r:3 in
-  let b = Topology.Spread.simple tree ~level:1 ~cap:1 ~b:40 ~r:3 in
+  let domains =
+    rack_domains (Topology.Build.regular ~racks:4 ~nodes_per_rack:5)
+  in
+  let a = Placement.Spread.simple domains ~b:40 ~r:3 in
+  let b = Placement.Spread.simple domains ~b:40 ~r:3 in
   Alcotest.(check bool) "identical replicas" true
     (a.Placement.Layout.replicas = b.Placement.Layout.replicas)
 
 let test_spread_immunity () =
   (* cap=1, s=2: one rack failure kills zero objects. *)
   let tree = Topology.Build.regular ~racks:5 ~nodes_per_rack:4 in
-  let layout = Topology.Spread.simple tree ~level:1 ~cap:1 ~b:50 ~r:3 in
+  let layout = Placement.Spread.simple (rack_domains tree) ~b:50 ~r:3 in
   let atk = Topology.Adversary.attack layout ~s:2 tree ~level:1 ~j:1 in
   Alcotest.(check int) "zero objects die" 0 atk.Topology.Adversary.failed_objects
 
@@ -400,43 +409,66 @@ let test_spread_immunity () =
 (* Strategies *)
 
 let test_strategies_registered () =
-  Topology.Strategies.ensure_registered ();
   List.iter
     (fun name ->
       match Placement.Strategies.find name with
-      | Some _ -> ()
-      | None -> Alcotest.fail (name ^ " not registered"))
+      | Some (module S) ->
+          Alcotest.(check bool) (name ^ " is domain-capped") true
+            (List.mem Placement.Strategy.Domain_capped S.capabilities)
+      | None -> Alcotest.fail (name ^ " not listed"))
     [ "simple-spread"; "random-spread" ]
 
-let test_strategies_config () =
-  Topology.Strategies.clear_config ();
-  let inst = Placement.Instance.make ~b:40 ~r:3 ~s:2 ~n:20 ~k:3 () in
+let test_strategies_domains () =
   let (module Simple) =
     Option.get (Placement.Strategies.find "simple-spread")
   in
-  (* No configuration: plan declines loudly, lower_bound quietly. *)
-  Alcotest.(check bool) "plan declines" true
-    (raises_invalid (fun () -> Simple.plan inst));
-  Alcotest.(check (option int)) "lower_bound declines" None
-    (Simple.lower_bound inst);
+  (* No map: every node its own domain, the map of a node:n topology. *)
+  let node_map n =
+    Topology.Spec.domains
+      (Topology.Spec.parse_exn (Printf.sprintf "node:%d" n))
+      ~level:0 ~cap:1
+  in
+  let inst = Placement.Instance.make ~b:40 ~r:3 ~s:2 ~n:20 ~k:3 () in
+  Alcotest.(check bool) "default = node:20" true
+    (Placement.Instance.domains inst = node_map 20);
+  Alcotest.(check bool) "default map plans" true
+    (Simple.lower_bound inst <> None);
+  Alcotest.(check bool) "default map follows n" true
+    (Placement.Instance.domains
+       (Placement.Instance.with_params inst
+          (Placement.Params.make ~b:40 ~r:3 ~s:2 ~n:21 ~k:3))
+    = node_map 21);
   let tree = Topology.Build.regular ~racks:4 ~nodes_per_rack:5 in
-  Topology.Strategies.configure ~cap:1 tree;
-  (match Topology.Strategies.config () with
-  | None -> Alcotest.fail "config lost"
-  | Some cfg ->
-      Alcotest.(check int) "default level" 1 cfg.Topology.Strategies.level;
-      Alcotest.(check int) "cap" 1 cfg.Topology.Strategies.cap);
+  let domains = rack_domains tree in
+  let inst = Placement.Instance.make ~domains ~b:40 ~r:3 ~s:2 ~n:20 ~k:3 () in
   let layout = Simple.plan inst in
   Alcotest.(check int) "spread respected" 1
-    (Topology.Spread.max_per_domain layout tree ~level:1);
-  Alcotest.(check bool) "lower_bound now engages" true
-    (Simple.lower_bound inst <> None);
-  (* Wrong cluster size: decline again. *)
-  let small = Placement.Instance.make ~b:10 ~r:3 ~s:2 ~n:9 ~k:3 () in
-  Alcotest.(check bool) "n mismatch declines" true
-    (raises_invalid (fun () -> Simple.plan small));
-  Topology.Strategies.clear_config ();
-  Alcotest.(check bool) "cleared" true (Topology.Strategies.config () = None)
+    (Placement.Spread.max_per_domain layout domains);
+  Alcotest.(check (option int)) "lower_bound from the plan"
+    (Simple.lower_bound ~layout inst) (Simple.lower_bound inst);
+  (* with_cell keeps the map; an infeasible cap declines quietly. *)
+  let cell = Placement.Instance.with_cell inst ~b:10 ~k:2 in
+  Alcotest.(check bool) "with_cell keeps the map" true
+    (Placement.Instance.domains cell == domains);
+  let wide = Placement.Instance.make ~domains ~b:40 ~r:5 ~s:2 ~n:20 ~k:3 () in
+  Alcotest.(check bool) "infeasible plan raises" true
+    (raises_invalid (fun () -> Simple.plan wide));
+  Alcotest.(check (option int)) "infeasible lower_bound declines" None
+    (Simple.lower_bound wide);
+  (* A map for the wrong cluster size, or a cap below 1, is rejected at
+     make; so is changing n under an explicit map. *)
+  Alcotest.(check bool) "n mismatch raises at make" true
+    (raises_invalid (fun () ->
+         Placement.Instance.make ~domains ~b:10 ~r:3 ~s:2 ~n:9 ~k:3 ()));
+  Alcotest.(check bool) "cap 0 raises at make" true
+    (raises_invalid (fun () ->
+         Placement.Instance.make
+           ~domains:{ domains with Placement.Spread.cap = 0 }
+           ~b:10 ~r:3 ~s:2 ~n:20 ~k:3 ()));
+  Alcotest.(check bool) "with_params n change raises" true
+    (raises_invalid (fun () ->
+         Placement.Instance.with_params inst
+           (Placement.Params.make ~b:10 ~r:3 ~s:2 ~n:21 ~k:3)))
 
 let () =
   Alcotest.run "topology"
@@ -476,7 +508,7 @@ let () =
       ( "strategies",
         [
           Alcotest.test_case "registered" `Quick test_strategies_registered;
-          Alcotest.test_case "configure and decline" `Quick
-            test_strategies_config;
+          Alcotest.test_case "plan on the instance's domains" `Quick
+            test_strategies_domains;
         ] );
     ]
