@@ -1392,7 +1392,8 @@ let serve_term =
         Logs.info (fun m ->
             m "serve session over stdin ended (%s): %d requests, %d responses"
               (Dsim.Serve.reason_label outcome.Dsim.Serve.reason)
-              outcome.Dsim.Serve.requests outcome.Dsim.Serve.responses)
+              (Dsim.Api.stats session).Dsim.Api.requests
+              outcome.Dsim.Serve.responses)
     | Some path ->
         let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
         (if Sys.file_exists path then
@@ -1431,7 +1432,7 @@ let serve_term =
                           m "connection ended (%s): %d requests"
                             (Dsim.Serve.reason_label
                                outcome.Dsim.Serve.reason)
-                            outcome.Dsim.Serve.requests);
+                            (Dsim.Api.stats session).Dsim.Api.requests);
                       (match outcome.Dsim.Serve.reason with
                       | Dsim.Serve.Signal | Dsim.Serve.Max_events ->
                           running := false

@@ -26,7 +26,8 @@ type level_state = {
   mutable nblocked : int;  (* blocks with blocked > 0 *)
   fresh : int array Seq.t ref option;
       (* lazy block source; a persistent Seq (not a closure) so
-         {!peek} can walk the upcoming blocks without consuming them *)
+         {!choose_slot} can walk the upcoming blocks without consuming
+         them *)
 }
 
 type assignment = { level : int; block : int }
@@ -47,6 +48,19 @@ let block_blocked st i = st.blocked.(i) > 0
 
 let blocked_count retired block =
   Array.fold_left (fun acc nd -> if retired.(nd) then acc + 1 else acc) 0 block
+
+(* The lowest-index pool block that is not blocked and satisfies [pred]. *)
+let scan_eligible st pred =
+  let found = ref None in
+  (try
+     for i = 0 to st.nblocks - 1 do
+       if (not (block_blocked st i)) && pred i then begin
+         found := Some i;
+         raise Exit
+       end
+     done
+   with Exit -> ());
+  !found
 
 let grow_pool t st block =
   if st.nblocks = Array.length st.blocks then begin
@@ -144,123 +158,82 @@ let r t = t.r
 let s t = t.s
 let size t = Hashtbl.length t.assignments
 let retired t nd = t.retired.(nd)
+let retired_count t = t.nretired
 let has_capacity t = Array.exists usable t.levels
 
 let effective_lambda st = st.spec.Combo.mu * st.max_usage
 
 let lambdas t = Array.map effective_lambda t.levels
 
-(* Find an eligible block index with usage < max_usage (or any eligible
-   block when max_usage = 0); None if the level is saturated at the
-   current λ and cannot produce a fresh eligible block.  Blocked blocks
-   (containing a retired node) are skipped everywhere. *)
-let rec pop_open st =
-  match st.open_blocks with
-  | i :: rest ->
-      st.open_blocks <- rest;
-      if st.usage.(i) < st.max_usage && not (block_blocked st i) then Some i
-      else pop_open st
-  | [] -> None
+(* Where the next placement at a level goes, decided without touching
+   the level: {!find_slot} commits the decision, {!peek} only reads its
+   block. *)
+type slot = Pool of int | Lazy of int array
 
-(* Pull fresh lazy blocks until one is eligible; blocked pulls stay in
-   the pool (they unblock if their retired node rejoins). *)
-let rec pull_fresh t st src =
-  match Seq.uncons !src with
-  | None -> None
-  | Some (blk, rest) ->
-      src := rest;
-      let i = grow_pool t st blk in
-      if block_blocked st i then pull_fresh t st src else Some i
+type decision = {
+  pick : slot option;  (* None: no eligible block, even after a λ bump *)
+  hints : int list;  (* open_blocks after the pick *)
+  pulled : int array list;
+      (* blocked lazy blocks passed over on the way, in pull order; they
+         still enter the pool (and unblock if their retired node
+         rejoins) *)
+  rest : int array Seq.t;  (* the lazy source after the pick *)
+}
 
-let scan_eligible st pred =
-  let found = ref None in
-  (try
-     for i = 0 to st.nblocks - 1 do
-       if (not (block_blocked st i)) && pred i then begin
-         found := Some i;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  !found
-
-let find_slot t st =
-  if st.max_usage = 0 then begin
-    (* Everything is empty; take the first eligible block or a fresh one. *)
-    match scan_eligible st (fun _ -> true) with
-    | Some _ as r -> r
-    | None -> (
-        match st.fresh with
-        | Some src -> pull_fresh t st src
-        | None -> None)
-  end
-  else
-    match pop_open st with
-    | Some i -> Some i
-    | None ->
-        (* No tracked open block: try a fresh lazy block (usage 0 < max),
-           else a linear rescan (open_blocks may have gone stale), else
-           report saturation. *)
-        (match st.fresh with
-        | Some src -> pull_fresh t st src
-        | None -> None)
-        |> function
-        | Some i -> Some i
-        | None -> (
-            match scan_eligible st (fun i -> st.usage.(i) < st.max_usage) with
-            | Some _ as r -> r
-            | None ->
-                (* Level saturated at the current λ: growing λ by μ means
-                   any eligible block will do. *)
-                scan_eligible st (fun _ -> true))
-
-(* Non-committing mirror of {!find_slot}: the block the next placement
-   at this level would occupy, replicating find_slot's decision order
-   exactly — open-block hints are walked without popping, the lazy
-   source is walked without consuming ({!Designs.Trivial.subsets_seq} is
-   persistent), and the pool never grows.  Used by {!peek}. *)
-let peek_slot t st =
-  let block i = Some (Array.copy st.blocks.(i)) in
-  let peek_open () =
-    let rec go = function
-      | [] -> None
-      | i :: rest ->
-          if st.usage.(i) < st.max_usage && not (block_blocked st i) then
-            block i
-          else go rest
+(* Decision order: when the level is empty, the first eligible pool
+   block, else the lazy source.  Otherwise the first open hint still
+   below the maximum usage (stale hints are dropped), else a fresh lazy
+   block (usage 0 < max), else a rescan for a block below the maximum
+   (the hints may have gone stale), else — the level is saturated at
+   the current λ and growing λ by μ means — any eligible block.
+   Blocked blocks (containing a retired node) are skipped everywhere. *)
+let choose_slot t st =
+  let src = match st.fresh with Some src -> !src | None -> Seq.empty in
+  let below_max i = st.usage.(i) < st.max_usage in
+  let pool hints i = { pick = Some (Pool i); hints; pulled = []; rest = src } in
+  let from_lazy hints =
+    let rec go pulled s =
+      match Seq.uncons s with
+      | None -> { pick = None; hints; pulled = List.rev pulled; rest = s }
+      | Some (blk, rest) ->
+          if blocked_count t.retired blk > 0 then go (blk :: pulled) rest
+          else { pick = Some (Lazy blk); hints; pulled = List.rev pulled; rest }
     in
-    go st.open_blocks
-  in
-  let peek_fresh () =
-    match st.fresh with
-    | None -> None
-    | Some src ->
-        let rec walk s =
-          match Seq.uncons s with
-          | None -> None
-          | Some (blk, rest) ->
-              if blocked_count t.retired blk > 0 then walk rest
-              else Some (Array.copy blk)
-        in
-        walk !src
+    go [] src
   in
   if st.max_usage = 0 then
     match scan_eligible st (fun _ -> true) with
-    | Some i -> block i
-    | None -> peek_fresh ()
+    | Some i -> pool st.open_blocks i
+    | None -> from_lazy st.open_blocks
   else
-    match peek_open () with
-    | Some _ as r -> r
-    | None -> (
-        match peek_fresh () with
-        | Some _ as r -> r
-        | None -> (
-            match scan_eligible st (fun i -> st.usage.(i) < st.max_usage) with
-            | Some i -> block i
-            | None -> (
-                match scan_eligible st (fun _ -> true) with
-                | Some i -> block i
-                | None -> None)))
+    let rec open_hint = function
+      | i :: rest ->
+          if below_max i && not (block_blocked st i) then Some (i, rest)
+          else open_hint rest
+      | [] -> None
+    in
+    match open_hint st.open_blocks with
+    | Some (i, hints) -> pool hints i
+    | None ->
+        let d = from_lazy [] in
+        if Option.is_some d.pick then d
+        else
+          let rescan =
+            match scan_eligible st below_max with
+            | Some _ as found -> found
+            | None -> scan_eligible st (fun _ -> true)
+          in
+          { d with pick = Option.map (fun i -> Pool i) rescan }
+
+let find_slot t st =
+  let d = choose_slot t st in
+  Option.iter (fun src -> src := d.rest) st.fresh;
+  st.open_blocks <- d.hints;
+  List.iter (fun blk -> ignore (grow_pool t st blk)) d.pulled;
+  match d.pick with
+  | None -> None
+  | Some (Pool i) -> Some i
+  | Some (Lazy blk) -> Some (grow_pool t st blk)
 
 (* Marginal increase of the total loss bound if one object lands on level
    x.  λ grows by μ only when the level has no open slot. *)
@@ -331,13 +304,14 @@ let route t ~what =
            what)
 
 (* The replica set the next {!add} would be assigned: the same level
-   fold and the same block decision order, with no state change — so an
-   advisory query ([advise create]) never perturbs where objects
-   actually land. *)
+   fold and the same slot decision, uncommitted — so an advisory query
+   ([advise create]) never perturbs where objects actually land. *)
 let peek t =
   let x = best_level t ~what:"peek" in
-  match peek_slot t t.levels.(x) with
-  | Some blk -> blk
+  let st = t.levels.(x) in
+  match (choose_slot t st).pick with
+  | Some (Pool i) -> Array.copy st.blocks.(i)
+  | Some (Lazy blk) -> Array.copy blk
   | None -> failwith "Adaptive.peek: level reported usable but has no slot"
 
 let occupy t x block =
@@ -415,15 +389,7 @@ let retire_node t nd =
           st.blocked.(i) <- st.blocked.(i) + 1
         end
       done)
-    t.levels;
-  (* The evictees: live objects whose block hosts the retiree. *)
-  let evicted = ref [] in
-  Hashtbl.iter
-    (fun id { level; block } ->
-      if Array.exists (fun m -> m = nd) t.levels.(level).blocks.(block) then
-        evicted := id :: !evicted)
-    t.assignments;
-  List.sort compare !evicted
+    t.levels
 
 let unretire_node t nd =
   if nd < 0 || nd >= t.n then

@@ -38,10 +38,10 @@ val add : t -> int
 
 val peek : t -> int array
 (** The replica set the next {!add} would be assigned, sorted, without
-    committing anything: the same level choice and the same block
-    decision order as [add], but no hint, pool or lazy-source state
-    changes — so [peek t] followed by [add t] assigns exactly the peeked
-    nodes, and a peek never perturbs where later objects land.
+    committing anything: [add] and [peek] share one pure slot chooser,
+    which [add] commits and [peek] only reads — so [peek t] followed by
+    [add t] assigns exactly the peeked nodes, and a peek never perturbs
+    where later objects land.
     Advisory routing for {!Dsim.Api}'s [advise create].
     @raise Invalid_argument when no level is usable (the same condition
     under which {!add} raises). *)
@@ -59,10 +59,11 @@ val replace : t -> int -> unit
     usable level) leaves the placement untouched.
     @raise Not_found if the id is not live. *)
 
-val retire_node : t -> int -> int list
+val retire_node : t -> int -> unit
 (** Permanently retire a node: every block containing it becomes
-    ineligible for placement.  Returns the sorted ids of live objects
-    currently assigned to a newly blocked block — the caller must
+    ineligible for placement.  The live objects with a replica on the
+    node now sit on blocked blocks; the caller — which already knows
+    them ({!Dsim.Churn} reads them off {!Kernel.Dyn.row}) — must
     {!replace} (or {!remove}) each of them to restore the invariant that
     blocked blocks hold no objects.  @raise Invalid_argument if the node
     is out of range or already retired. *)
@@ -73,7 +74,11 @@ val unretire_node : t -> int -> unit
     node is out of range or not retired. *)
 
 val retired : t -> int -> bool
-(** Whether a node is currently retired. *)
+(** Whether a node is currently retired — the one record of cluster
+    membership. *)
+
+val retired_count : t -> int
+(** Nodes currently retired, O(1). *)
 
 val has_capacity : t -> bool
 (** Some level can still accept an object (an eligible block exists or

@@ -468,6 +468,7 @@ module Dyn = struct
     rows : int array array;  (* unit -> live slots, length row_len.(u) *)
     row_len : int array;
     failed : Combin.Bitset.t;
+    mutable nfailed : int;  (* |failed| *)
     mutable killed : int;
     mutable max_degree : int;  (* monotone row-length high-water mark *)
     mutable moves : int;  (* lifetime object add/remove count *)
@@ -487,6 +488,7 @@ module Dyn = struct
       rows = Array.make units [||];
       row_len = Array.make units 0;
       failed = Combin.Bitset.create units;
+      nfailed = 0;
       killed = 0;
       max_degree = 0;
       moves = 0;
@@ -498,6 +500,7 @@ module Dyn = struct
   let killed t = t.killed
   let hits t slot = t.hits.{slot}
   let failed_units t = Combin.Bitset.to_array t.failed
+  let failed_count t = t.nfailed
   let moves t = t.moves
   let replicas t slot = Array.copy t.obj_units.(slot)
 
@@ -615,6 +618,7 @@ module Dyn = struct
     if Combin.Bitset.mem t.failed u then
       invalid_arg "Kernel.Dyn.fail_unit: unit already failed";
     Combin.Bitset.add t.failed u;
+    t.nfailed <- t.nfailed + 1;
     let row = t.rows.(u) and s = t.s in
     for i = 0 to t.row_len.(u) - 1 do
       let slot = Array.unsafe_get row i in
@@ -628,6 +632,7 @@ module Dyn = struct
     if not (Combin.Bitset.mem t.failed u) then
       invalid_arg "Kernel.Dyn.recover_unit: unit not failed";
     Combin.Bitset.remove t.failed u;
+    t.nfailed <- t.nfailed - 1;
     let row = t.rows.(u) and s = t.s in
     for i = 0 to t.row_len.(u) - 1 do
       let slot = Array.unsafe_get row i in
@@ -639,6 +644,14 @@ module Dyn = struct
   let load t u =
     check_unit t u "load";
     t.row_len.(u)
+
+  let failed t u =
+    check_unit t u "failed";
+    Combin.Bitset.mem t.failed u
+
+  let row t u =
+    check_unit t u "row";
+    Array.sub t.rows.(u) 0 t.row_len.(u)
 
   let marginal t u =
     check_unit t u "marginal";

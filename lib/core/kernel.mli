@@ -207,8 +207,21 @@ module Dyn : sig
   (** Live objects hosting a replica on the given unit — the movement
       budget of a permanent departure. *)
 
-  val hits : t -> int -> int
+  val row : t -> int -> int array
+  (** The live slots hosting a replica on the given unit (a fresh copy,
+      in no particular order) — the objects a permanent departure of
+      that unit must relocate. *)
+
+  val failed : t -> int -> bool
+  (** Whether the unit is in the current failure set. *)
+
   val failed_units : t -> int array
+  (** The current failure set, sorted. *)
+
+  val failed_count : t -> int
+  (** Size of the current failure set, O(1). *)
+
+  val hits : t -> int -> int
   val marginal : t -> int -> int * int
 
   val moves : t -> int

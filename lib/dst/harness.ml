@@ -85,7 +85,6 @@ let run ?history (cfg : config) =
     in
     let session = Api.make eng in
     let applied = ref [] in
-    let napplied = ref 0 and nrejected = ref 0 in
     let min_worst = ref max_int in
     let violation = ref None in
     (try
@@ -97,9 +96,7 @@ let run ?history (cfg : config) =
            | Error msg ->
                (* An injected partial line that no longer parses: the
                   session must absorb it as an inline rejection. *)
-               ignore (Api.parse_error session (idx + 1) msg);
-               incr nrejected;
-               Telemetry.Counter.incr m_rejected
+               ignore (Api.parse_error session (idx + 1) msg)
            | Ok (Some req) -> (
                (* The movement budget a leave may spend, read before the
                   event mutates the engine. *)
@@ -112,8 +109,6 @@ let run ?history (cfg : config) =
                in
                match Api.exec session req with
                | Api.Applied step ->
-                   incr napplied;
-                   Telemetry.Counter.incr m_steps;
                    applied := step.Churn.event :: !applied;
                    let ctx =
                      {
@@ -151,14 +146,16 @@ let run ?history (cfg : config) =
                              step_index = idx;
                              event_line = line;
                            }))
-               | Api.Rejected _ ->
-                   incr nrejected;
-                   Telemetry.Counter.incr m_rejected
                | _ -> ()))
          history
      with Stop v ->
        Telemetry.Counter.incr m_violations;
        violation := Some v);
+    (* The session is the one request ledger; the dst counters report
+       its tallies rather than keeping their own. *)
+    let st = Api.stats session in
+    Telemetry.Counter.add m_steps st.Api.events;
+    Telemetry.Counter.add m_rejected st.Api.rejected;
     {
       seed = cfg.seed;
       profile = cfg.profile.Profile.name;
@@ -167,8 +164,8 @@ let run ?history (cfg : config) =
           (fun (module S : Placement.Strategy.S) -> S.name)
           cfg.strategy;
       events = List.length history;
-      applied = !napplied;
-      rejected = !nrejected;
+      applied = st.Api.events;
+      rejected = st.Api.rejected;
       injected_checks = Dsim.Inject.checks ();
       injected_fired = Dsim.Inject.fired ();
       min_worst_available = (if !min_worst = max_int then -1 else !min_worst);

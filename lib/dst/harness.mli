@@ -41,8 +41,10 @@ type outcome = {
   profile : string;
   strategy : string option;  (** echoes of the config, for the envelope *)
   events : int;  (** history length *)
-  applied : int;
-  rejected : int;  (** engine refusals + injected parse failures *)
+  applied : int;  (** the session's {!Dsim.Api.stats} [events] *)
+  rejected : int;
+      (** the session's [rejected]: engine refusals + injected parse
+          failures *)
   injected_checks : int;
   injected_fired : int;
   min_worst_available : int;

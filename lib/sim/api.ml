@@ -1,8 +1,5 @@
 module J = Telemetry.Json
 
-let m_requests = Telemetry.Registry.counter "sim/api/requests"
-let m_parse_errors = Telemetry.Registry.counter "sim/api/parse_errors"
-let m_rejected = Telemetry.Registry.counter "sim/api/rejected"
 let sp_request = Telemetry.Registry.span "sim/api/request"
 
 (* Fault-injection sites (armed only under the dst harness): a worst-case
@@ -105,7 +102,7 @@ let stats s =
     moved_replicas = Churn.moved_replicas s.engine;
     live = Churn.live s.engine;
     available = Churn.available s.engine;
-    failed_nodes = Array.length (Churn.failed_nodes s.engine);
+    failed_nodes = Churn.failed_count s.engine;
     nodes_in_service = Churn.nodes_in_service s.engine;
     lower_bound = Churn.lower_bound s.engine;
   }
@@ -188,13 +185,11 @@ let count_event s = function
 
 let reject s message =
   s.rejected <- s.rejected + 1;
-  Telemetry.Counter.incr m_rejected;
   Rejected { line = None; message }
 
 let exec s req =
   Telemetry.Span.time sp_request @@ fun () ->
   s.requests <- s.requests + 1;
-  Telemetry.Counter.incr m_requests;
   match req with
   | Apply ev -> (
       match Churn.apply s.engine ev with
@@ -229,7 +224,7 @@ let exec s req =
         {
           live = Churn.live s.engine;
           available = Churn.available s.engine;
-          failed_nodes = Array.length (Churn.failed_nodes s.engine);
+          failed_nodes = Churn.failed_count s.engine;
           nodes_in_service = Churn.nodes_in_service s.engine;
         }
   | Query Lower_bound ->
@@ -247,13 +242,10 @@ let exec s req =
 let reject_line s line message =
   s.requests <- s.requests + 1;
   s.rejected <- s.rejected + 1;
-  Telemetry.Counter.incr m_requests;
-  Telemetry.Counter.incr m_rejected;
   Rejected { line = Some line; message }
 
 let parse_error s line message =
   s.parse_errors <- s.parse_errors + 1;
-  Telemetry.Counter.incr m_parse_errors;
   reject_line s line message
 
 (* ------------------------------------------------------------------ *)

@@ -69,7 +69,13 @@ type response =
   | Rejected of { line : int option; message : string }
 
 type session
-(** A {!Churn.t} plus request accounting. *)
+(** A {!Churn.t} plus the one request ledger: every request — executed,
+    refused by the engine or by session policy, or unparsable — is
+    counted here exactly once, by {!exec}, {!parse_error} or
+    {!reject_line}, and {!stats} reads these counts.  Nothing else
+    (the serve loop, the dst harness, telemetry) keeps a request counter
+    of its own; the one request-level telemetry entry is the
+    [sim/api/request] span around {!exec}. *)
 
 val make : Churn.t -> session
 val engine : session -> Churn.t
@@ -93,9 +99,9 @@ val parse_error : session -> int -> string -> response
     [Rejected] response, so the session continues. *)
 
 val reject_line : session -> int -> string -> response
-(** Like {!parse_error} for a well-formed line refused by session
-    policy (e.g. an event past the daemon's cap) — counted as rejected
-    but not as a parse error. *)
+(** Like {!parse_error} for a line refused by session policy (an event
+    past the daemon's cap, a line over the daemon's length bound) —
+    counted as rejected but not as a parse error. *)
 
 val stats_json : stats -> Telemetry.Json.t
 

@@ -18,8 +18,8 @@ type t = {
   topology : Topology.Tree.t;
   placement : Placement.Adaptive.t;
   dyn : Placement.Kernel.Dyn.t;
-  up : bool array;
-  in_service : bool array;  (* false once a node permanently leaves *)
+      (* also the one record of which nodes are down; which nodes have
+         left is the placement's retirement set *)
   id_slot : (int, int) Hashtbl.t;  (* adaptive object id -> dyn slot *)
   mutable slot_id : int array;  (* dyn slot -> adaptive object id *)
   mutable events : int;
@@ -58,8 +58,6 @@ let create ?levels ?topology ~n ~r ~s ~k () =
     topology;
     placement = Placement.Adaptive.create ?levels ~n ~r ~s ~k ();
     dyn = Placement.Kernel.Dyn.create ~units:n ~s;
-    up = Array.make n true;
-    in_service = Array.make n true;
     id_slot = Hashtbl.create 64;
     slot_id = [||];
     events = 0;
@@ -74,23 +72,16 @@ let topology t = t.topology
 let live t = Placement.Kernel.Dyn.objects t.dyn
 let events t = t.events
 let moved_replicas (t : t) = t.moved
-let node_up t nd = t.up.(nd)
-let node_in_service t nd = t.in_service.(nd)
+let node_up t nd = not (Placement.Kernel.Dyn.failed t.dyn nd)
+let failed_nodes t = Placement.Kernel.Dyn.failed_units t.dyn
+let failed_count t = Placement.Kernel.Dyn.failed_count t.dyn
+let node_in_service t nd = not (Placement.Adaptive.retired t.placement nd)
+let nodes_in_service t = t.n - Placement.Adaptive.retired_count t.placement
 let node_load t nd = Placement.Kernel.Dyn.load t.dyn nd
-
-let nodes_in_service t =
-  Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 t.in_service
 
 let available t = live t - Placement.Kernel.Dyn.killed t.dyn
 let lower_bound ?k t = Placement.Adaptive.lower_bound ?k t.placement
 let layout t = Placement.Adaptive.layout t.placement
-
-let failed_nodes t =
-  let out = ref [] in
-  for nd = t.n - 1 downto 0 do
-    if not t.up.(nd) then out := nd :: !out
-  done;
-  Array.of_list !out
 
 let check_node t nd =
   if nd < 0 || nd >= t.n then
@@ -98,7 +89,7 @@ let check_node t nd =
       (Printf.sprintf "Churn: node %d out of range (n = %d)" nd t.n)
 
 let check_in_service t nd what =
-  if not t.in_service.(nd) then
+  if not (node_in_service t nd) then
     invalid_arg
       (Printf.sprintf "Churn: cannot %s node %d (it has left the cluster)"
          what nd)
@@ -106,18 +97,12 @@ let check_in_service t nd what =
 let fail_node t nd =
   check_node t nd;
   check_in_service t nd "fail";
-  if t.up.(nd) then begin
-    t.up.(nd) <- false;
-    Placement.Kernel.Dyn.fail_unit t.dyn nd
-  end
+  if node_up t nd then Placement.Kernel.Dyn.fail_unit t.dyn nd
 
 let recover_node t nd =
   check_node t nd;
   check_in_service t nd "recover";
-  if not t.up.(nd) then begin
-    t.up.(nd) <- true;
-    Placement.Kernel.Dyn.recover_unit t.dyn nd
-  end
+  if not (node_up t nd) then Placement.Kernel.Dyn.recover_unit t.dyn nd
 
 (* Register [id]'s replica set with the kernel and bind the id↔slot
    maps. *)
@@ -170,16 +155,21 @@ let moved_replicas_between old nw =
     0 nw
 
 (* Permanent departure.  Bounded movement: only the objects hosting a
-   replica on [nd] are touched (load nd of them), each re-placed
-   wholesale by the adaptive routing rule, so at most r replicas ship
-   per evicted object and nothing else moves.  The node's blocks are
-   blocked first (retire), so the re-route can never hand an object
-   back to the leaver; if the placement has no capacity left for the
-   relocations the retirement is rolled back and nothing has changed. *)
+   replica on [nd] are touched — the load nd slots of its kernel row,
+   relocated in increasing id order — each re-placed wholesale by the
+   adaptive routing rule, so at most r replicas ship per evicted object
+   and nothing else moves.  The node's blocks are blocked first
+   (retire), so the re-route can never hand an object back to the
+   leaver; if the placement has no capacity left for the relocations
+   the retirement is rolled back and nothing has changed. *)
 let leave_node t nd =
   check_node t nd;
   check_in_service t nd "leave";
-  let evicted = Placement.Adaptive.retire_node t.placement nd in
+  let evicted =
+    Array.map (fun slot -> t.slot_id.(slot)) (Placement.Kernel.Dyn.row t.dyn nd)
+  in
+  Array.sort compare evicted;
+  Placement.Adaptive.retire_node t.placement nd;
   if Inject.fire inj_capacity then begin
     Placement.Adaptive.unretire_node t.placement nd;
     invalid_arg
@@ -188,7 +178,8 @@ let leave_node t nd =
           of node %d (state rolled back)"
          nd)
   end;
-  if evicted <> [] && not (Placement.Adaptive.has_capacity t.placement) then begin
+  if evicted <> [||] && not (Placement.Adaptive.has_capacity t.placement)
+  then begin
     Placement.Adaptive.unretire_node t.placement nd;
     invalid_arg
       (Printf.sprintf
@@ -197,7 +188,7 @@ let leave_node t nd =
          nd)
   end;
   let moved = ref 0 in
-  List.iter
+  Array.iter
     (fun id ->
       let slot = Hashtbl.find t.id_slot id in
       let old_rs = Placement.Kernel.Dyn.replicas t.dyn slot in
@@ -209,21 +200,16 @@ let leave_node t nd =
     evicted;
   (* The leaver's row is empty now; a down node that leaves stops
      counting as failed (its loss is permanent, not an outage). *)
-  if not t.up.(nd) then begin
-    t.up.(nd) <- true;
-    Placement.Kernel.Dyn.recover_unit t.dyn nd
-  end;
-  t.in_service.(nd) <- false;
+  if not (node_up t nd) then Placement.Kernel.Dyn.recover_unit t.dyn nd;
   !moved
 
 let join_node t nd =
   check_node t nd;
-  if t.in_service.(nd) then
+  if node_in_service t nd then
     invalid_arg
       (Printf.sprintf "Churn: node %d is already in service (join expects a \
                        node that left)" nd);
-  Placement.Adaptive.unretire_node t.placement nd;
-  t.in_service.(nd) <- true
+  Placement.Adaptive.unretire_node t.placement nd
 
 let apply t ev =
   Telemetry.Span.time sp_apply @@ fun () ->
@@ -250,7 +236,7 @@ let apply t ev =
                (Topology.Tree.domain_count t.topology ~level));
         (* A left node is no longer part of the domain's blast radius. *)
         Array.iter
-          (fun m -> if t.in_service.(m) then fail_node t m)
+          (fun m -> if node_in_service t m then fail_node t m)
           (Topology.Tree.members t.topology ~level d);
         0
     | Event.Node_join nd ->
@@ -273,7 +259,7 @@ let apply t ev =
     moved;
     live = live t;
     available = available t;
-    failed_nodes = Array.length (failed_nodes t);
+    failed_nodes = failed_count t;
     lower_bound = lower_bound t;
   }
 
@@ -305,14 +291,6 @@ let check t =
       (Printf.sprintf "Churn.check: incremental killed %d <> recount %d"
          dyn_killed recount);
   Placement.Adaptive.check_invariants t.placement;
-  for nd = 0 to t.n - 1 do
-    if t.in_service.(nd) = Placement.Adaptive.retired t.placement nd then
-      failwith
-        (Printf.sprintf
-           "Churn.check: node %d in-service flag out of sync with placement \
-            retirement"
-           nd)
-  done;
   let layout = Placement.Adaptive.layout t.placement in
   let kn = Placement.Kernel.make layout ~s:t.s in
   let scratch_killed = Placement.Kernel.check kn (failed_nodes t) in

@@ -1,7 +1,11 @@
 (** The continuous placement engine: a live {!Placement.Adaptive}
-    placement, the node up/down state, and an incremental
-    {!Placement.Kernel.Dyn} worst-case kernel, all advanced one
-    {!Event.t} at a time (DESIGN.md §12).
+    placement and an incremental {!Placement.Kernel.Dyn} worst-case
+    kernel, advanced together one {!Event.t} at a time (DESIGN.md §12).
+
+    Each fact has one owner and every other view is derived from it:
+    which nodes are down is the kernel's failed set, which nodes have
+    left is the placement's retirement set, and the objects on a node
+    are the kernel's per-node row.
 
     Where {!Cluster} replays infrastructure events against a fixed
     layout, this engine also consumes the object-churn events: an
@@ -69,13 +73,20 @@ val moved_replicas : t -> int
 (** Total replicas moved over the engine's lifetime. *)
 
 val node_up : t -> int -> bool
+(** Not in the kernel's failed set. *)
+
 val failed_nodes : t -> int array
+(** The down nodes, sorted. *)
+
+val failed_count : t -> int
+(** How many nodes are down, O(1). *)
 
 val node_in_service : t -> int -> bool
-(** False once the node has permanently left (until a re-join). *)
+(** False once the node has permanently left (until a re-join): the
+    placement's retirement flag. *)
 
 val nodes_in_service : t -> int
-(** Nodes that have not left. *)
+(** Nodes that have not left, O(1). *)
 
 val node_load : t -> int -> int
 (** Live objects with a replica on the node — the movement budget a
@@ -98,9 +109,10 @@ val apply : t -> Event.t -> step
 
     [Node_leave nd] is a permanent departure with bounded-movement
     re-replication: the node's placement blocks are blocked, the
-    load(nd) objects hosting a replica there — and nothing else — are
-    each re-placed wholesale by the adaptive routing rule (≤ r replicas
-    shipped per object), and a down leaver stops counting as failed.
+    load(nd) objects hosting a replica there — read off the kernel's
+    row for nd, and nothing else — are each re-placed wholesale by the
+    adaptive routing rule in increasing id order (≤ r replicas shipped
+    per object), and a down leaver stops counting as failed.
     If the placement has no capacity left for the relocations the event
     raises and changes nothing.  [Node_join nd] re-admits a node that
     left (it returns up, hosting nothing).  A left node cannot fail or

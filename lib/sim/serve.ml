@@ -1,11 +1,5 @@
 module J = Telemetry.Json
 
-let m_requests = Telemetry.Registry.counter "sim/serve/requests"
-let m_responses = Telemetry.Registry.counter "sim/serve/responses"
-let m_parse_errors = Telemetry.Registry.counter "sim/serve/parse_errors"
-let m_rejected = Telemetry.Registry.counter "sim/serve/rejected"
-let sp_request = Telemetry.Registry.span "sim/serve/request"
-
 type reason = Eof | Signal | Timeout | Max_events
 
 let reason_label = function
@@ -14,13 +8,11 @@ let reason_label = function
   | Timeout -> "timeout"
   | Max_events -> "max-events"
 
-type outcome = {
-  reason : reason;
-  requests : int;
-  responses : int;
-  parse_errors : int;
-  rejected : int;
-}
+type outcome = { reason : reason; responses : int }
+
+(* A request line longer than this is refused and discarded, so one peer
+   cannot grow the daemon's memory to the size of its input. *)
+let max_line = 65_536
 
 (* One flag for the whole process: signal handlers are global state, so
    installing twice is harmless and nested serve loops share the flag. *)
@@ -64,10 +56,10 @@ let write_all fd s =
    [output] as a single-line placement/v1 envelope, and keeps going
    until EOF, an idle timeout, a delivered SIGTERM/SIGINT (drain: the
    lines already buffered are still answered), or the [max_events]
-   guard.  Parse errors are answered inline with their 1-based line
-   number and never kill the session.  Everything is deterministic for
-   a given request stream — the timing only decides when the session
-   ends, never what a response contains. *)
+   guard.  Parse errors and overlong lines are answered inline with
+   their 1-based line number and never kill the session.  Everything is
+   deterministic for a given request stream — the timing only decides
+   when the session ends, never what a response contains. *)
 let run ?max_events ?snapshot_every ?(timeout = 0.) session ~input ~output =
   let responses = ref 0 in
   let lineno = ref 0 in
@@ -75,14 +67,12 @@ let run ?max_events ?snapshot_every ?(timeout = 0.) session ~input ~output =
   let finished = ref None in
   let finish reason = if !finished = None then finished := Some reason in
   let respond resp =
-    Telemetry.Counter.incr m_responses;
     incr responses;
     write_all output (Api.response_to_line resp ^ "\n")
   in
   let snapshot () =
     match snapshot_every with
     | Some every when every > 0 && !applied mod every = 0 ->
-        Telemetry.Counter.incr m_responses;
         incr responses;
         write_all output
           (J.to_string
@@ -98,21 +88,15 @@ let run ?max_events ?snapshot_every ?(timeout = 0.) session ~input ~output =
   let handle_line line =
     if !finished = None then begin
       incr lineno;
-      Telemetry.Span.time sp_request @@ fun () ->
       match Api.parse_request line with
       | Ok None -> ()
-      | Error msg ->
-          Telemetry.Counter.incr m_requests;
-          Telemetry.Counter.incr m_parse_errors;
-          respond (Api.parse_error session !lineno msg)
+      | Error msg -> respond (Api.parse_error session !lineno msg)
       | Ok (Some req) -> (
-          Telemetry.Counter.incr m_requests;
           match req with
           | Api.Apply _
             when match max_events with
                  | Some cap -> !applied >= cap
                  | None -> false ->
-              Telemetry.Counter.incr m_rejected;
               respond
                 (Api.reject_line session !lineno
                    (Printf.sprintf
@@ -121,30 +105,53 @@ let run ?max_events ?snapshot_every ?(timeout = 0.) session ~input ~output =
               finish Max_events
           | _ ->
               let resp = Api.exec session req in
-              (match resp with
-              | Api.Rejected _ -> Telemetry.Counter.incr m_rejected
-              | Api.Applied _ ->
-                  incr applied
-              | _ -> ());
               respond resp;
-              (match resp with Api.Applied _ -> snapshot () | _ -> ()))
+              (match resp with
+              | Api.Applied _ ->
+                  incr applied;
+                  snapshot ()
+              | _ -> ()))
+    end
+  in
+  let overlong () =
+    if !finished = None then begin
+      incr lineno;
+      respond
+        (Api.reject_line session !lineno
+           (Printf.sprintf "request line exceeds %d bytes; discarded" max_line))
     end
   in
   (* Line framing over raw reads: [pending] holds the bytes of the
      current unterminated line.  Each read is scanned for '\n' once and
      only complete lines are copied out, so a line of L bytes costs
-     O(L) however many reads it spans.  A trailing unterminated line is
+     O(L) however many reads it spans.  A line that grows past
+     [max_line] is answered as soon as it does and its bytes are
+     dropped through the next '\n' ([discarding]), so [pending] never
+     holds more than [max_line] bytes.  A trailing unterminated line is
      still processed at EOF. *)
   let pending = Buffer.create 256 in
+  let discarding = ref false in
   let chunk = Bytes.create 65536 in
+  let append start stop =
+    if not !discarding then
+      if Buffer.length pending + (stop - start) > max_line then begin
+        Buffer.reset pending;
+        discarding := true;
+        overlong ()
+      end
+      else Buffer.add_subbytes pending chunk start (stop - start)
+  in
   let take_lines n =
     let rec go start i =
-      if i = n then Buffer.add_subbytes pending chunk start (n - start)
+      if i = n then append start n
       else if Bytes.get chunk i = '\n' then begin
-        Buffer.add_subbytes pending chunk start (i - start);
-        let line = Buffer.contents pending in
-        Buffer.clear pending;
-        handle_line line;
+        append start i;
+        if !discarding then discarding := false
+        else begin
+          let line = Buffer.contents pending in
+          Buffer.clear pending;
+          handle_line line
+        end;
         go (i + 1) (i + 1)
       end
       else go start (i + 1)
@@ -186,7 +193,6 @@ let run ?max_events ?snapshot_every ?(timeout = 0.) session ~input ~output =
   let reason =
     match !finished with Some reason -> reason | None -> Eof
   in
-  let st = Api.stats session in
   (try
      write_all output
        (J.to_string
@@ -194,14 +200,8 @@ let run ?max_events ?snapshot_every ?(timeout = 0.) session ~input ~output =
              (J.Obj
                 [
                   ("reason", J.Str (reason_label reason));
-                  ("stats", Api.stats_json st);
+                  ("stats", Api.stats_json (Api.stats session));
                 ]))
        ^ "\n")
    with Peer_gone -> ());
-  {
-    reason;
-    requests = st.Api.requests;
-    responses = !responses;
-    parse_errors = st.Api.parse_errors;
-    rejected = st.Api.rejected;
-  }
+  { reason; responses = !responses }

@@ -12,10 +12,17 @@
     response contains.
 
     Robustness: parse errors are answered inline (with their 1-based
-    line number) and never kill the session; an idle [timeout] ends it
+    line number) and never kill the session; so is a request line
+    longer than 65,536 bytes, which is refused as
+    [request line exceeds 65536 bytes; discarded] and dropped through
+    its newline without being buffered; an idle [timeout] ends it
     gracefully; a delivered SIGTERM/SIGINT (see {!install_signals})
     stops reading, flushes, and still emits the summary; [max_events]
-    caps how many events the session will apply. *)
+    caps how many events the session will apply.
+
+    Every request — parsed, refused, or overlong — is counted once, in
+    the {!Api.session}'s ledger ({!Api.stats}); the serve loop keeps no
+    request counters of its own. *)
 
 type reason =
   | Eof  (** the peer closed the stream (or vanished mid-write) *)
@@ -29,10 +36,9 @@ val reason_label : reason -> string
 
 type outcome = {
   reason : reason;
-  requests : int;  (** requests processed (parse errors included) *)
-  responses : int;  (** lines written, snapshots and summary included *)
-  parse_errors : int;
-  rejected : int;
+  responses : int;
+      (** lines written, snapshots included, the summary not; request
+          counts are the session's ({!Api.stats}) *)
 }
 
 val install_signals : unit -> unit

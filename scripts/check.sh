@@ -11,8 +11,9 @@
 # engine, diffed byte-for-byte against the pinned envelope in
 # scripts/churn_smoke.expected), the serve gates (a fixed event+query
 # script answered over stdin must be byte-identical to the batch churn
-# --responses replay, and a SIGTERM mid-session must
-# still flush a summary envelope naming the signal), and the dst gates
+# --responses replay, a SIGTERM mid-session must still flush a summary
+# envelope naming the signal, and a 1 MiB request line must be refused
+# inline without ending the session), and the dst gates
 # (a pinned multi-seed simulation sweep with fault injection armed must
 # hold every invariant bit-identically at -j1 and -j4, and a
 # deliberately broken canary must shrink to a <= 25-event repro that
@@ -131,6 +132,19 @@ grep -q '"command": "summary"' serve_sigterm.out ||
 grep -q '"reason": "signal"' serve_sigterm.out ||
   { echo "check.sh: SIGTERM drain summary does not name the signal" >&2; exit 1; }
 rm -f serve_sigterm.out
+
+# (3) Bounded request lines: a 1 MiB line must be refused inline (one
+# error envelope) and discarded without ending the session — the stats
+# request after it is still answered, and the daemon exits 0.
+{ head -c 1048576 /dev/zero | tr '\000' x; printf '\nstats\n'; } |
+  _build/default/bin/placement_tool.exe serve -n 8 -r 3 -s 2 -k 2 \
+  > serve_overlong.out ||
+  { echo "check.sh: serve exited non-zero on an overlong request line" >&2; exit 1; }
+[ "$(grep -c '"command": "error"' serve_overlong.out)" -eq 1 ] ||
+  { echo "check.sh: an overlong line was not refused by exactly one error envelope" >&2; exit 1; }
+[ "$(grep -c '"command": "stats"' serve_overlong.out)" -eq 1 ] ||
+  { echo "check.sh: serve stopped answering after an overlong line" >&2; exit 1; }
+rm -f serve_overlong.out
 
 # Dst gates.  (1) Pinned seed sweep: 3 seeds x 3 profiles x 4
 # strategies (the spread families on the cascade profile's racks)

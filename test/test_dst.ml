@@ -137,6 +137,53 @@ let test_advise_matches_create () =
       advice row
   done
 
+(* The same contract under churn: leaves block pool blocks, deletes open
+   stale hints, and at s = 3 the lazy complete level pulls (and skips
+   blocked) fresh blocks — every branch of the slot chooser is reached
+   before some create. *)
+let advise_churn_gen =
+  QCheck2.Gen.(
+    quad
+      (oneofl [ "membership"; "storm" ])
+      (int_range 8 16) (oneofl [ 2; 3 ]) (int_range 1 5000))
+
+let test_advise_matches_create_under_churn =
+  qtest ~count:30 "advise = create under churn" advise_churn_gen
+    (fun (profile, n, s, seed) ->
+      let p = Option.get (Dst.Profile.find profile) in
+      let eng =
+        Dsim.Churn.create ?topology:(Dst.Profile.topology p ~n) ~n ~r:3 ~s
+          ~k:2 ()
+      in
+      let history =
+        Dst.Profile.generate p ~n ~seed ~steps:150 ~measure_every:0
+      in
+      List.for_all
+        (fun ev ->
+          let advice =
+            match ev with
+            | Dsim.Event.Object_create -> (
+                try Some (Dsim.Churn.advise_create eng)
+                with Invalid_argument _ -> None)
+            | _ -> None
+          in
+          match Dsim.Churn.apply eng ev with
+          | exception Invalid_argument _ ->
+              (* A refused create must have been refused by the advice. *)
+              ev <> Dsim.Event.Object_create || advice = None
+          | _ -> (
+              match (ev, advice) with
+              | Dsim.Event.Object_create, None -> false
+              | Dsim.Event.Object_create, Some advice ->
+                  let rows =
+                    (Dsim.Churn.layout eng).Placement.Layout.replicas
+                  in
+                  let row = Array.copy rows.(Array.length rows - 1) in
+                  Array.sort compare row;
+                  advice = row
+              | _ -> true))
+        history)
+
 let test_advise_does_not_perturb () =
   let drive peeking =
     let eng = Dsim.Churn.create ~n:12 ~r:3 ~s:2 ~k:2 () in
@@ -346,6 +393,7 @@ let () =
       ( "advise",
         [
           Alcotest.test_case "peek = add" `Quick test_advise_matches_create;
+          test_advise_matches_create_under_churn;
           Alcotest.test_case "peek is pure" `Quick
             test_advise_does_not_perturb;
           Alcotest.test_case "api query" `Quick test_api_advise_query;

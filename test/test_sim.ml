@@ -456,6 +456,56 @@ let test_churn_membership_oracle =
         evs;
       true)
 
+(* A naive model of node state — plain up/in-service arrays updated only
+   from events the engine accepted — against every node-state read the
+   engine exposes. *)
+let test_churn_node_state_model =
+  qtest ~count:20 "node state matches a naive model"
+    QCheck2.Gen.(pair (int_range 0 10000) (int_range 6 14))
+    (fun (seed, n) ->
+      let eng = Dsim.Churn.create ~n ~r:3 ~s:2 ~k:2 () in
+      let up = Array.make n true and in_service = Array.make n true in
+      let evs =
+        Dsim.Event.seeded
+          ~rng:(Combin.Rng.create seed)
+          ~n ~join_weight:20 ~leave_weight:20 ~count:200 ~measure_every:0 ()
+      in
+      List.for_all
+        (fun ev ->
+          let step =
+            match Dsim.Churn.apply eng ev with
+            | step ->
+                (match ev with
+                | Dsim.Event.Node_fail nd -> up.(nd) <- false
+                | Dsim.Event.Node_recover nd -> up.(nd) <- true
+                | Dsim.Event.Node_leave nd ->
+                    up.(nd) <- true;
+                    in_service.(nd) <- false
+                | Dsim.Event.Node_join nd -> in_service.(nd) <- true
+                | _ -> ());
+                Some step
+            | exception Invalid_argument _ -> None
+          in
+          let down =
+            List.filter (fun nd -> not up.(nd)) (List.init n Fun.id)
+          in
+          let serving =
+            Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0
+              in_service
+          in
+          Dsim.Churn.failed_nodes eng = Array.of_list down
+          && List.for_all
+               (fun nd ->
+                 Dsim.Churn.node_up eng nd = up.(nd)
+                 && Dsim.Churn.node_in_service eng nd = in_service.(nd))
+               (List.init n Fun.id)
+          && Dsim.Churn.nodes_in_service eng = serving
+          &&
+          match step with
+          | Some step -> step.Dsim.Churn.failed_nodes = List.length down
+          | None -> true)
+        evs)
+
 let test_churn_membership_guards () =
   let eng = Dsim.Churn.create ~n:6 ~r:2 ~s:1 ~k:1 () in
   let rejected ev =
@@ -764,7 +814,7 @@ let test_api_response_lines () =
 
 let serve_lines ?max_events ?snapshot_every ?timeout input f =
   (* Run a fresh session over [input], capture the responses from a
-     pipe. *)
+     pipe; [f] also sees the session's request ledger. *)
   let out_r, out_w = Unix.pipe ~cloexec:false () in
   let session = mk_session () in
   let outcome =
@@ -787,7 +837,7 @@ let serve_lines ?max_events ?snapshot_every ?timeout input f =
     String.split_on_char '\n' (Buffer.contents buf)
     |> List.filter (fun l -> l <> "")
   in
-  f outcome lines
+  f outcome (Dsim.Api.stats session) lines
 
 let with_serve ?max_events ?snapshot_every ?timeout script f =
   (* Feed [script] through a pipe.  Writing the whole script before
@@ -802,14 +852,15 @@ let with_serve ?max_events ?snapshot_every ?timeout script f =
     (fun () -> serve_lines ?max_events ?snapshot_every ?timeout in_r f)
 
 let test_serve_eof () =
-  with_serve "create\nquery avail\nbogus 1\ncreate" @@ fun outcome lines ->
+  with_serve "create\nquery avail\nbogus 1\ncreate"
+  @@ fun outcome stats lines ->
   Alcotest.(check bool) "ends at eof" true
     (outcome.Dsim.Serve.reason = Dsim.Serve.Eof);
-  Alcotest.(check int) "four requests" 4 outcome.Dsim.Serve.requests;
+  Alcotest.(check int) "four requests" 4 stats.Dsim.Api.requests;
   (* 4 responses + the summary; the unterminated trailing line still
      gets processed. *)
   Alcotest.(check int) "responses + summary" 5 (List.length lines);
-  Alcotest.(check int) "one parse error" 1 outcome.Dsim.Serve.parse_errors;
+  Alcotest.(check int) "one parse error" 1 stats.Dsim.Api.parse_errors;
   let last = List.nth lines 4 in
   Alcotest.(check bool) "summary last" true
     (contains ~sub:"\"command\": \"summary\"" last
@@ -819,10 +870,10 @@ let test_serve_eof () =
 
 let test_serve_max_events () =
   with_serve ~max_events:2 "create\ncreate\ncreate\nquery avail\n"
-  @@ fun outcome lines ->
+  @@ fun outcome stats lines ->
   Alcotest.(check bool) "capped" true
     (outcome.Dsim.Serve.reason = Dsim.Serve.Max_events);
-  Alcotest.(check int) "third event rejected" 1 outcome.Dsim.Serve.rejected;
+  Alcotest.(check int) "third event rejected" 1 stats.Dsim.Api.rejected;
   Alcotest.(check bool) "cap named in the refusal" true
     (List.exists (fun l -> contains ~sub:"event limit reached" l) lines);
   Alcotest.(check bool) "summary says max-events" true
@@ -830,7 +881,7 @@ let test_serve_max_events () =
 
 let test_serve_snapshots () =
   with_serve ~snapshot_every:2 "create\ncreate\ncreate\ncreate\n"
-  @@ fun _outcome lines ->
+  @@ fun _outcome _stats lines ->
   let snaps =
     List.filter
       (fun l -> contains ~sub:"\"command\": \"snapshot\"" l)
@@ -863,10 +914,11 @@ let test_serve_timeout () =
     (contains ~sub:"\"reason\": \"timeout\"" (Bytes.sub_string buf 0 n))
 
 let test_serve_long_line () =
-  (* A request line longer than the 64 KiB read chunk (padding before
-     and inside it) spans several reads and must be answered exactly
-     like the short line.  A pipe cannot buffer it before [run] starts,
-     so it is fed from a file. *)
+  (* A request line that straddles the 64 KiB read-chunk boundary
+     (padding before and inside it) spans two reads and must be
+     answered exactly like the short line — including one of exactly
+     the 65,536-byte line bound.  A pipe cannot buffer the script
+     before [run] starts, so it is fed from a file. *)
   let answers script =
     let path = Filename.temp_file "serve" ".in" in
     Out_channel.with_open_bin path (fun oc -> output_string oc script);
@@ -875,14 +927,73 @@ let test_serve_long_line () =
       ~finally:(fun () ->
         Unix.close input;
         Sys.remove path)
-      (fun () -> serve_lines input (fun _ lines -> lines))
+      (fun () -> serve_lines input (fun _ _ lines -> lines))
   in
   let short = answers "create\nquery avail\n" in
   Alcotest.(check int) "responses + summary" 3 (List.length short);
+  let query = "query" ^ String.make (65_536 - 10) ' ' ^ "avail" in
+  Alcotest.(check int) "the query line sits at the bound" 65_536
+    (String.length query);
   Alcotest.(check (list string)) "long line answered like the short one" short
-    (answers
-       (let pad = String.make (100 * 1024) ' ' in
-        "create\n" ^ pad ^ "query" ^ pad ^ "avail\n"))
+    (answers ("create" ^ String.make 40_000 ' ' ^ "\n" ^ query ^ "\n"))
+
+let test_serve_overlong_line () =
+  (* A line past the bound is refused inline and discarded through its
+     newline; the session keeps serving.  The 1 MiB line outgrows the
+     pipe buffer, so a second domain writes it while [run] reads. *)
+  let in_r, in_w = Unix.pipe ~cloexec:false () in
+  let script = String.make (1024 * 1024) 'x' ^ "\nstats\n" in
+  let writer =
+    Domain.spawn (fun () ->
+        let b = Bytes.unsafe_of_string script in
+        let off = ref 0 in
+        while !off < Bytes.length b do
+          off := !off + Unix.write in_w b !off (Bytes.length b - !off)
+        done;
+        Unix.close in_w)
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.close in_r)
+    (fun () ->
+      serve_lines in_r @@ fun outcome stats lines ->
+      Domain.join writer;
+      Alcotest.(check bool) "ends at eof" true
+        (outcome.Dsim.Serve.reason = Dsim.Serve.Eof);
+      Alcotest.(check int) "error, stats, summary" 3 (List.length lines);
+      let err = List.nth lines 0 in
+      Alcotest.(check bool) "refused inline as line 1" true
+        (contains ~sub:"\"command\": \"error\"" err
+        && contains ~sub:"\"line\": 1," err
+        && contains ~sub:"request line exceeds 65536 bytes; discarded" err);
+      let st = List.nth lines 1 in
+      Alcotest.(check bool) "stats answered after it" true
+        (contains ~sub:"\"command\": \"stats\"" st
+        && contains ~sub:"\"requests\": 2," st
+        && contains ~sub:"\"rejected\": 1," st
+        && contains ~sub:"\"parse_errors\": 0," st);
+      Alcotest.(check int) "ledger: requests" 2 stats.Dsim.Api.requests;
+      Alcotest.(check int) "ledger: rejected, not a parse error" 1
+        stats.Dsim.Api.rejected;
+      Alcotest.(check int) "ledger: no parse error" 0
+        stats.Dsim.Api.parse_errors)
+
+let test_serve_line_bound_edge () =
+  (* One byte past the bound is refused; the bound itself is not (see
+     [test_serve_long_line]). *)
+  let path = Filename.temp_file "serve" ".in" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc ("create" ^ String.make (65_537 - 6) ' ' ^ "\ncreate\n"));
+  let input = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close input;
+      Sys.remove path)
+    (fun () ->
+      serve_lines input @@ fun _ stats lines ->
+      Alcotest.(check bool) "first line refused as overlong" true
+        (contains ~sub:"\"line\": 1," (List.nth lines 0)
+        && contains ~sub:"exceeds 65536 bytes" (List.nth lines 0));
+      Alcotest.(check int) "second line applied" 1 stats.Dsim.Api.events)
 
 let test_serve_session_persists () =
   (* A socket daemon reuses one session across connections: the second
@@ -894,16 +1005,16 @@ let test_serve_session_persists () =
     let b = Bytes.of_string script in
     ignore (Unix.write in_w b 0 (Bytes.length b));
     Unix.close in_w;
-    let outcome = Dsim.Serve.run session ~input:in_r ~output:out_w in
+    ignore (Dsim.Serve.run session ~input:in_r ~output:out_w);
     Unix.close in_r;
     Unix.close out_w;
     Unix.close out_r;
-    outcome
+    (Dsim.Api.stats session).Dsim.Api.requests
   in
   let o1 = round "create\ncreate\n" in
   let o2 = round "query avail\n" in
-  Alcotest.(check int) "first round requests" 2 o1.Dsim.Serve.requests;
-  Alcotest.(check int) "counters carried over" 3 o2.Dsim.Serve.requests;
+  Alcotest.(check int) "first round requests" 2 o1;
+  Alcotest.(check int) "counters carried over" 3 o2;
   Alcotest.(check int) "engine carried over" 2
     (Dsim.Churn.live (Dsim.Api.engine session))
 
@@ -955,6 +1066,7 @@ let () =
           Alcotest.test_case "bounded movement" `Quick
             test_churn_bounded_movement;
           test_churn_membership_oracle;
+          test_churn_node_state_model;
           Alcotest.test_case "membership guards" `Quick
             test_churn_membership_guards;
           Alcotest.test_case "leave relocates" `Quick
@@ -978,6 +1090,9 @@ let () =
           Alcotest.test_case "snapshots" `Quick test_serve_snapshots;
           Alcotest.test_case "timeout" `Quick test_serve_timeout;
           Alcotest.test_case "long line" `Quick test_serve_long_line;
+          Alcotest.test_case "overlong line" `Quick test_serve_overlong_line;
+          Alcotest.test_case "line bound edge" `Quick
+            test_serve_line_bound_edge;
           Alcotest.test_case "session persists" `Quick
             test_serve_session_persists;
         ] );
