@@ -12,7 +12,23 @@
    retired node); [nblocked] is the number of blocked blocks, so the
    eligible pool size is nblocks - nblocked.  Since blocked blocks sit
    at usage 0 in steady state, the usage histogram (which only tracks
-   usage >= 1) and hence the effective λ accounting are untouched. *)
+   usage >= 1) and hence the effective λ accounting are untouched.
+
+   Min-index: "the lowest-index eligible block with usage below a
+   threshold" is answered in O(log nblocks) by a min-tree over 64-block
+   chunks.  A block's key is its usage, or max_int when blocked; a leaf
+   holds its chunk's minimum key (max_int past nblocks), an inner node
+   the minimum of its children.  A query descends to the leftmost chunk
+   whose minimum is below the threshold and scans at most 64 keys.
+   Chunked leaves keep the index at ~2·nblocks/64 words (64 KB for the
+   166,167 blocks of STS(999)); an update rescans one chunk and walks up
+   until an ancestor is unchanged.
+
+   Hints: [open_blocks] lists blocks pushed when they ended an occupy or
+   vacate below the maximum usage, newest first.  A delete on a block
+   that is already listed pushes it again, so under steady churn the
+   list would grow without bound; when it passes [hint_slack] · nblocks
+   entries it is compacted to the newest entry per block. *)
 type level_state = {
   spec : Combo.level;
   mutable blocks : int array array;  (* pool, grows for the lazy level *)
@@ -22,8 +38,13 @@ type level_state = {
   mutable max_usage : int;
   mutable live : int;  (* objects at this level *)
   mutable open_blocks : int list;  (* candidates with usage < max_usage *)
+  mutable nhints : int;  (* List.length open_blocks *)
   mutable blocked : int array;  (* retired member nodes per block *)
   mutable nblocked : int;  (* blocks with blocked > 0 *)
+  mutable tree : int array;
+      (* the min-index: chunk c's minimum at [leaves + c], node i's
+         children at 2i and 2i+1, the root at 1 *)
+  mutable leaves : int;  (* a power of two >= the number of chunks *)
   fresh : int array Seq.t ref option;
       (* lazy block source; a persistent Seq (not a closure) so
          {!choose_slot} can walk the upcoming blocks without consuming
@@ -49,18 +70,93 @@ let block_blocked st i = st.blocked.(i) > 0
 let blocked_count retired block =
   Array.fold_left (fun acc nd -> if retired.(nd) then acc + 1 else acc) 0 block
 
-(* The lowest-index pool block that is not blocked and satisfies [pred]. *)
-let scan_eligible st pred =
-  let found = ref None in
-  (try
-     for i = 0 to st.nblocks - 1 do
-       if (not (block_blocked st i)) && pred i then begin
-         found := Some i;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  !found
+let chunk_bits = 6
+let chunk = 1 lsl chunk_bits
+
+(* A block's key in the min-index: no threshold admits a blocked block. *)
+let seg_key st i = if block_blocked st i then max_int else st.usage.(i)
+
+let chunk_min st c =
+  let lo = c lsl chunk_bits in
+  let m = ref max_int in
+  for i = lo to min st.nblocks (lo + chunk) - 1 do
+    let key = seg_key st i in
+    if key < !m then m := key
+  done;
+  !m
+
+let build_index st =
+  let nchunks = (st.nblocks + chunk - 1) lsr chunk_bits in
+  let leaves = ref 1 in
+  while !leaves < nchunks do
+    leaves := 2 * !leaves
+  done;
+  let leaves = !leaves in
+  let tree = Array.make (2 * leaves) max_int in
+  for c = 0 to nchunks - 1 do
+    tree.(leaves + c) <- chunk_min st c
+  done;
+  for i = leaves - 1 downto 1 do
+    tree.(i) <- min tree.(2 * i) tree.(2 * i + 1)
+  done;
+  st.tree <- tree;
+  st.leaves <- leaves
+
+(* Re-derive the chunk holding block [i] after its key changed, then
+   each ancestor until one keeps its value. *)
+let refresh st i =
+  let c = i lsr chunk_bits in
+  let node = ref (st.leaves + c) in
+  let m = chunk_min st c in
+  if st.tree.(!node) <> m then begin
+    st.tree.(!node) <- m;
+    let changed = ref true in
+    while !changed && !node > 1 do
+      node := !node lsr 1;
+      let v = min st.tree.(2 * !node) st.tree.(2 * !node + 1) in
+      if st.tree.(!node) = v then changed := false else st.tree.(!node) <- v
+    done
+  end
+
+(* The lowest-index pool block that is not blocked and whose usage is
+   below [bound] (max_int: any eligible block), in O(log nblocks). *)
+let first_below st bound =
+  if st.tree.(1) >= bound then None
+  else begin
+    let node = ref 1 in
+    while !node < st.leaves do
+      let left = 2 * !node in
+      node := if st.tree.(left) < bound then left else left + 1
+    done;
+    let i = ref ((!node - st.leaves) lsl chunk_bits) in
+    while seg_key st !i >= bound do
+      incr i
+    done;
+    Some !i
+  end
+
+(* The hint list is compacted when it passes this multiple of nblocks. *)
+let hint_slack = 2
+
+(* Keep the newest entry per block.  A dropped duplicate sits behind a
+   newer entry for its block, so the hint walk reaches the newer one
+   first; the duplicate could only matter if the block re-entered the
+   eligible set without a push, which only a node rejoin does. *)
+let compact_hints st =
+  let seen = Combin.Bitset.create st.nblocks in
+  st.open_blocks <-
+    List.filter
+      (fun i ->
+        (not (Combin.Bitset.mem seen i))
+        && (Combin.Bitset.add seen i;
+            true))
+      st.open_blocks;
+  st.nhints <- List.length st.open_blocks
+
+let push_hint st i =
+  st.open_blocks <- i :: st.open_blocks;
+  st.nhints <- st.nhints + 1;
+  if st.nhints > hint_slack * st.nblocks then compact_hints st
 
 let grow_pool t st block =
   if st.nblocks = Array.length st.blocks then begin
@@ -80,7 +176,9 @@ let grow_pool t st block =
   st.blocked.(st.nblocks) <- bc;
   if bc > 0 then st.nblocked <- st.nblocked + 1;
   st.nblocks <- st.nblocks + 1;
-  st.nblocks - 1
+  let i = st.nblocks - 1 in
+  if i lsr chunk_bits >= st.leaves then build_index st else refresh st i;
+  i
 
 let hist_add st u =
   if u >= 1 then begin
@@ -116,19 +214,26 @@ let make_level ~n (spec : Combo.level) =
     | Some _ | None -> ([||], None)
   in
   ignore n;
-  {
-    spec;
-    blocks = Array.map Array.copy fixed_blocks;
-    nblocks = Array.length fixed_blocks;
-    usage = Array.make (max 1 (Array.length fixed_blocks)) 0;
-    hist = Array.make 4 0;
-    max_usage = 0;
-    live = 0;
-    open_blocks = [];
-    blocked = Array.make (max 1 (Array.length fixed_blocks)) 0;
-    nblocked = 0;
-    fresh;
-  }
+  let st =
+    {
+      spec;
+      blocks = Array.map Array.copy fixed_blocks;
+      nblocks = Array.length fixed_blocks;
+      usage = Array.make (max 1 (Array.length fixed_blocks)) 0;
+      hist = Array.make 4 0;
+      max_usage = 0;
+      live = 0;
+      open_blocks = [];
+      nhints = 0;
+      blocked = Array.make (max 1 (Array.length fixed_blocks)) 0;
+      nblocked = 0;
+      tree = [||];
+      leaves = 0;
+      fresh;
+    }
+  in
+  build_index st;
+  st
 
 let usable st = st.nblocks - st.nblocked > 0 || Option.is_some st.fresh
 
@@ -173,6 +278,7 @@ type slot = Pool of int | Lazy of int array
 type decision = {
   pick : slot option;  (* None: no eligible block, even after a λ bump *)
   hints : int list;  (* open_blocks after the pick *)
+  nhints : int;  (* its length *)
   pulled : int array list;
       (* blocked lazy blocks passed over on the way, in pull order; they
          still enter the pool (and unblock if their retired node
@@ -186,42 +292,48 @@ type decision = {
    block (usage 0 < max), else a rescan for a block below the maximum
    (the hints may have gone stale), else — the level is saturated at
    the current λ and growing λ by μ means — any eligible block.
-   Blocked blocks (containing a retired node) are skipped everywhere. *)
+   Blocked blocks (containing a retired node) are skipped everywhere.
+   Both pool scans are min-index queries, so no step loops over the
+   pool. *)
 let choose_slot t st =
   let src = match st.fresh with Some src -> !src | None -> Seq.empty in
-  let below_max i = st.usage.(i) < st.max_usage in
-  let pool hints i = { pick = Some (Pool i); hints; pulled = []; rest = src } in
-  let from_lazy hints =
+  let pool hints nhints i =
+    { pick = Some (Pool i); hints; nhints; pulled = []; rest = src }
+  in
+  let from_lazy hints nhints =
     let rec go pulled s =
       match Seq.uncons s with
-      | None -> { pick = None; hints; pulled = List.rev pulled; rest = s }
+      | None ->
+          { pick = None; hints; nhints; pulled = List.rev pulled; rest = s }
       | Some (blk, rest) ->
           if blocked_count t.retired blk > 0 then go (blk :: pulled) rest
-          else { pick = Some (Lazy blk); hints; pulled = List.rev pulled; rest }
+          else
+            let pulled = List.rev pulled in
+            { pick = Some (Lazy blk); hints; nhints; pulled; rest }
     in
     go [] src
   in
   if st.max_usage = 0 then
-    match scan_eligible st (fun _ -> true) with
-    | Some i -> pool st.open_blocks i
-    | None -> from_lazy st.open_blocks
+    match first_below st max_int with
+    | Some i -> pool st.open_blocks st.nhints i
+    | None -> from_lazy st.open_blocks st.nhints
   else
-    let rec open_hint = function
+    let rec open_hint nhints = function
       | i :: rest ->
-          if below_max i && not (block_blocked st i) then Some (i, rest)
-          else open_hint rest
+          if seg_key st i < st.max_usage then Some (i, rest, nhints - 1)
+          else open_hint (nhints - 1) rest
       | [] -> None
     in
-    match open_hint st.open_blocks with
-    | Some (i, hints) -> pool hints i
+    match open_hint st.nhints st.open_blocks with
+    | Some (i, hints, nhints) -> pool hints nhints i
     | None ->
-        let d = from_lazy [] in
+        let d = from_lazy [] 0 in
         if Option.is_some d.pick then d
         else
           let rescan =
-            match scan_eligible st below_max with
+            match first_below st st.max_usage with
             | Some _ as found -> found
-            | None -> scan_eligible st (fun _ -> true)
+            | None -> first_below st max_int
           in
           { d with pick = Option.map (fun i -> Pool i) rescan }
 
@@ -229,6 +341,7 @@ let find_slot t st =
   let d = choose_slot t st in
   Option.iter (fun src -> src := d.rest) st.fresh;
   st.open_blocks <- d.hints;
+  st.nhints <- d.nhints;
   List.iter (fun blk -> ignore (grow_pool t st blk)) d.pulled;
   match d.pick with
   | None -> None
@@ -320,8 +433,8 @@ let occupy t x block =
   st.usage.(block) <- old + 1;
   hist_remove st old;
   hist_add st (old + 1);
-  if st.usage.(block) < st.max_usage then
-    st.open_blocks <- block :: st.open_blocks;
+  refresh st block;
+  if st.usage.(block) < st.max_usage then push_hint st block;
   st.live <- st.live + 1
 
 let vacate t x block =
@@ -330,8 +443,8 @@ let vacate t x block =
   st.usage.(block) <- old - 1;
   hist_remove st old;
   hist_add st (old - 1);
-  if st.usage.(block) < st.max_usage then
-    st.open_blocks <- block :: st.open_blocks;
+  refresh st block;
+  if st.usage.(block) < st.max_usage then push_hint st block;
   st.live <- st.live - 1
 
 let add t =
@@ -385,8 +498,11 @@ let retire_node t nd =
     (fun st ->
       for i = 0 to st.nblocks - 1 do
         if Array.exists (fun m -> m = nd) st.blocks.(i) then begin
-          if st.blocked.(i) = 0 then st.nblocked <- st.nblocked + 1;
-          st.blocked.(i) <- st.blocked.(i) + 1
+          st.blocked.(i) <- st.blocked.(i) + 1;
+          if st.blocked.(i) = 1 then begin
+            st.nblocked <- st.nblocked + 1;
+            refresh st i
+          end
         end
       done)
     t.levels
@@ -405,7 +521,10 @@ let unretire_node t nd =
       for i = 0 to st.nblocks - 1 do
         if Array.exists (fun m -> m = nd) st.blocks.(i) then begin
           st.blocked.(i) <- st.blocked.(i) - 1;
-          if st.blocked.(i) = 0 then st.nblocked <- st.nblocked - 1
+          if st.blocked.(i) = 0 then begin
+            st.nblocked <- st.nblocked - 1;
+            refresh st i
+          end
         end
       done)
     t.levels
@@ -469,7 +588,42 @@ let check_invariants t =
       done;
       ensure (st.live = !live) "live count mismatch";
       ensure (st.max_usage = !maxu) "max usage mismatch";
-      ensure (st.nblocked = !nblocked) "blocked block tally mismatch")
+      ensure (st.nblocked = !nblocked) "blocked block tally mismatch";
+      (* The min-index against a recount from usage and blocked. *)
+      let key i = if st.blocked.(i) > 0 then max_int else st.usage.(i) in
+      let nchunks = (st.nblocks + chunk - 1) / chunk in
+      ensure
+        (st.leaves >= max 1 nchunks
+        && st.leaves land (st.leaves - 1) = 0
+        && Array.length st.tree = 2 * st.leaves)
+        "min-index shape";
+      for c = 0 to st.leaves - 1 do
+        let m = ref max_int in
+        for i = c * chunk to min st.nblocks ((c + 1) * chunk) - 1 do
+          m := min !m (key i)
+        done;
+        ensure (st.tree.(st.leaves + c) = !m) "min-index chunk minimum mismatch"
+      done;
+      for i = 1 to st.leaves - 1 do
+        ensure
+          (st.tree.(i) = min st.tree.(2 * i) st.tree.(2 * i + 1))
+          "min-index node mismatch"
+      done;
+      let naive bound =
+        let rec go i =
+          if i >= st.nblocks then None
+          else if key i < bound then Some i
+          else go (i + 1)
+        in
+        go 0
+      in
+      List.iter
+        (fun bound ->
+          ensure (first_below st bound = naive bound)
+            "min-index query mismatch")
+        [ st.max_usage; max_int ];
+      ensure (st.nhints = List.length st.open_blocks) "hint count mismatch";
+      ensure (st.nhints <= hint_slack * st.nblocks) "hint list past its bound")
     t.levels;
   (* The layout must satisfy Definition 2 per level at the effective λ:
      spot-checked via the per-level usage bound already; full check left

@@ -9,11 +9,13 @@
 # smoke (rack adversary vs node adversary sanity inequality), a churn
 # smoke (a 10^4-event seeded trace replayed through the continuous
 # engine, diffed byte-for-byte against the pinned envelope in
-# scripts/churn_smoke.expected), the serve gates (a fixed event+query
-# script answered over stdin must be byte-identical to the batch churn
-# --responses replay, a SIGTERM mid-session must still flush a summary
-# envelope naming the signal, and a 1 MiB request line must be refused
-# inline without ending the session), and the dst gates
+# scripts/churn_smoke.expected, and a second one with node leaves and
+# rejoins against scripts/churn_membership.expected), the serve gates
+# (a fixed event+query script answered over stdin must be
+# byte-identical to the batch churn --responses replay, a SIGTERM
+# mid-session must still flush a summary envelope naming the signal,
+# and a 1 MiB request line must be refused inline without ending the
+# session), and the dst gates
 # (a pinned multi-seed simulation sweep with fault injection armed must
 # hold every invariant bit-identically at -j1 and -j4, and a
 # deliberately broken canary must shrink to a <= 25-event repro that
@@ -82,6 +84,17 @@ dune exec bin/placement_tool.exe -- churn -n 50 -r 3 -s 2 -k 3 \
 diff scripts/churn_smoke.expected churn_smoke.json ||
   { echo "check.sh: churn smoke diverged from the pinned envelope (scripts/churn_smoke.expected)" >&2; exit 1; }
 rm -f churn_smoke.json
+
+# Churn membership gate: the smoke above has no leave or join, so it
+# never routes around blocked blocks.  A 2*10^4-event trace with
+# permanent leaves and rejoins (~650 of each) must reproduce the pinned
+# envelope byte for byte as well.
+dune exec bin/placement_tool.exe -- churn -n 40 -r 3 -s 2 -k 3 \
+  --seed 3 --count 20000 --measure-every 1000 --join-weight 4 \
+  --leave-weight 4 --json > churn_membership.json
+diff scripts/churn_membership.expected churn_membership.json ||
+  { echo "check.sh: churn membership run diverged from the pinned envelope (scripts/churn_membership.expected)" >&2; exit 1; }
+rm -f churn_membership.json
 
 # Serve gates.  (1) Protocol determinism: a fixed event+query script
 # piped into the serve daemon over stdin must answer byte-identically

@@ -384,6 +384,87 @@ let test_adaptive_churn_invariants =
              Array.length rep = 3 && Combin.Intset.is_sorted_distinct rep)
            !live)
 
+let test_adaptive_membership_invariants =
+  (* The min-index and the hint list under every operation that moves
+     them: add, remove, retire (each object on the node is replaced, or
+     removed when no slot is left) and rejoin.  s = 3 covers the lazy
+     complete level, whose pool and index grow on demand. *)
+  qtest ~count:60 "invariants survive random membership churn"
+    QCheck2.Gen.(
+      quad (int_range 7 31) (int_range 2 3) (int_range 0 10000)
+        (int_range 20 200))
+    (fun (n, s, seed, ops) ->
+      let module A = Placement.Adaptive in
+      let rng = Combin.Rng.create seed in
+      let t = A.create ~n ~r:3 ~s ~k:2 () in
+      let live = Hashtbl.create 64 in
+      let live_ids () =
+        List.sort compare (Hashtbl.fold (fun id () l -> id :: l) live [])
+      in
+      for _ = 1 to ops do
+        (match Combin.Rng.int rng 8 with
+        | 0 | 1 | 2 | 3 ->
+            if A.has_capacity t then Hashtbl.replace live (A.add t) ()
+        | 4 | 5 -> (
+            match live_ids () with
+            | [] -> ()
+            | ids ->
+                let victim =
+                  List.nth ids (Combin.Rng.int rng (List.length ids))
+                in
+                A.remove t victim;
+                Hashtbl.remove live victim)
+        | 6 ->
+            let nd = Combin.Rng.int rng n in
+            if (not (A.retired t nd)) && A.retired_count t < n / 3 then begin
+              A.retire_node t nd;
+              List.iter
+                (fun id ->
+                  if Array.mem nd (A.replica_set t id) then
+                    match A.replace t id with
+                    | () -> ()
+                    | exception Invalid_argument _ ->
+                        A.remove t id;
+                        Hashtbl.remove live id)
+                (live_ids ())
+            end
+        | _ ->
+            let nd = Combin.Rng.int rng n in
+            if A.retired t nd then A.unretire_node t nd);
+        A.check_invariants t
+      done;
+      A.size t = Hashtbl.length live)
+
+let test_adaptive_hint_list_bounded () =
+  (* The hint leak: a delete on a block below the maximum usage pushes
+     it as a hint even when it is already listed, and the create that
+     takes the hint back leaves the block below the maximum, so it is
+     pushed again.  Each delete/create cycle on such a block adds one
+     duplicate; check_invariants bounds the list at a fixed multiple of
+     the pool, so it must be compacted along the way. *)
+  let module A = Placement.Adaptive in
+  let t = A.create ~n:13 ~r:3 ~s:2 ~k:2 () in
+  let ids = ref [] in
+  while (A.lambdas t).(1) <= 2 do
+    ids := A.add t :: !ids
+  done;
+  (* Open a slot two below the maximum: take one object off a block that
+     is below the maximum usage. *)
+  let count id =
+    let rs = A.replica_set t id in
+    List.length (List.filter (fun id' -> A.replica_set t id' = rs) !ids)
+  in
+  let top = List.fold_left (fun m id -> max m (count id)) 0 !ids in
+  let victim = List.find (fun id -> count id < top) (List.rev !ids) in
+  A.remove t victim;
+  let newest = ref (A.add t) in
+  for _ = 1 to 10_000 do
+    A.remove t !newest;
+    newest := A.add t;
+    A.check_invariants t
+  done;
+  Alcotest.(check int) "population kept" (List.length !ids) (A.size t)
+
 let test_adaptive_layout_definition2 () =
   (* The live layout must satisfy Definition 2 at the effective λ of
      each level. *)
@@ -1469,6 +1550,8 @@ let () =
           Alcotest.test_case "matches offline DP" `Quick test_adaptive_matches_offline;
           Alcotest.test_case "bound sound vs exact adversary" `Quick test_adaptive_bound_sound;
           test_adaptive_churn_invariants;
+          test_adaptive_membership_invariants;
+          Alcotest.test_case "hint list stays bounded" `Quick test_adaptive_hint_list_bounded;
           Alcotest.test_case "Definition 2 per level" `Quick test_adaptive_layout_definition2;
           Alcotest.test_case "remove unknown" `Quick test_adaptive_remove_unknown;
           Alcotest.test_case "ids not reused" `Quick test_adaptive_ids_not_reused;
