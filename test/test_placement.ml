@@ -1550,11 +1550,11 @@ let () =
           Alcotest.test_case "matches offline DP" `Quick test_adaptive_matches_offline;
           Alcotest.test_case "bound sound vs exact adversary" `Quick test_adaptive_bound_sound;
           test_adaptive_churn_invariants;
-          test_adaptive_membership_invariants;
-          Alcotest.test_case "hint list stays bounded" `Quick test_adaptive_hint_list_bounded;
           Alcotest.test_case "Definition 2 per level" `Quick test_adaptive_layout_definition2;
           Alcotest.test_case "remove unknown" `Quick test_adaptive_remove_unknown;
           Alcotest.test_case "ids not reused" `Quick test_adaptive_ids_not_reused;
+          test_adaptive_membership_invariants;
+          Alcotest.test_case "hint list stays bounded" `Quick test_adaptive_hint_list_bounded;
         ] );
       ( "random_placement",
         [
