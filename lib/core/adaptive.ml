@@ -199,7 +199,10 @@ let hist_remove st u =
     done
   end
 
-let make_level ~n (spec : Combo.level) =
+(* The pool takes the materialized blocks as they are: materialize
+   builds a fresh design per call, Adaptive never writes into a block,
+   and every read that leaves this module returns a copy. *)
+let make_level (spec : Combo.level) =
   let fixed_blocks, fresh =
     match spec.Combo.entry with
     | Some e when e.Designs.Registry.strength = e.Designs.Registry.block_size ->
@@ -213,11 +216,10 @@ let make_level ~n (spec : Combo.level) =
         ((Designs.Registry.materialize e).Designs.Block_design.blocks, None)
     | Some _ | None -> ([||], None)
   in
-  ignore n;
   let st =
     {
       spec;
-      blocks = Array.map Array.copy fixed_blocks;
+      blocks = fixed_blocks;
       nblocks = Array.length fixed_blocks;
       usage = Array.make (max 1 (Array.length fixed_blocks)) 0;
       hist = Array.make 4 0;
@@ -243,7 +245,7 @@ let create ?levels ~n ~r ~s ~k () =
     | Some l -> l
     | None -> Combo.default_levels ~n ~r ~s ()
   in
-  let levels = Array.map (make_level ~n) specs in
+  let levels = Array.map make_level specs in
   if not (Array.exists usable levels) then
     invalid_arg "Adaptive.create: no materializable level";
   {

@@ -221,13 +221,10 @@ type greedy_stats = { evals : int; heap_pops : int; stale_reevals : int }
    Returns best_id = -1 on an empty heap (a shard may run dry; the
    drivers' callers guard against too many picks up front).
 
-   [marginal] abstracts the counter state being scanned: the flat kernel
-   passes [marginal t], the dynamic kernel ({!Dyn.worst_case}) a closure
-   over its scratch plane.  Every comparison below is a lexicographic
-   (newly, progress) pair comparison — valid for ANY packing base
-   exceeding the largest reachable component — so two callers whose
-   marginals agree pointwise produce identical pops, picks and stats
-   even when their packing bases differ. *)
+   Every comparison below is a lexicographic (newly, progress) pair
+   comparison — valid for ANY packing base exceeding the largest
+   reachable component.  {!Dyn.worst_case} packs its exact scores the
+   same way, with its own base, and so ranks units identically. *)
 let round_scan ~marginal heap ~packed =
   let best_key = ref (-1) and best_id = ref (-1) and best_pr = ref 0 in
   let evals = ref 0 and pops = ref 0 and stale = ref 0 in
@@ -447,15 +444,12 @@ module Dyn = struct
      slot moves into a freed one (callers track the move via
      {!remove_object}'s return), so the hits plane never fragments.
 
-     Greedy parity: {!worst_case} runs the same CELF driver, with the
-     same shard count, over a scratch all-up plane.  Its packing base is
-     1 + max_degree where max_degree is a MONOTONE high-water mark of
-     row length — possibly larger than the current max degree after
-     deletes, but any base exceeding every reachable (newly, progress)
-     component yields the same lexicographic comparisons (see
-     round_scan), so picks and stats are bit-identical to
-     [select_greedy] on a freshly built flat kernel over the same live
-     objects. *)
+     Worst case: {!worst_case} applies [select_greedy]'s rule (exact
+     (newly, progress), ties to the lowest id) without CELF, whose
+     progress bound counts every live replica as a kill and so, for
+     s ≥ 2, prunes almost nothing: a full rescan per pick.  It keeps
+     every unit's pair exact instead, patching per pick only the hosts
+     of the objects that pick brings to s-1 or s hits. *)
 
   type nonrec t = {
     s : int;
@@ -472,6 +466,10 @@ module Dyn = struct
     mutable killed : int;
     mutable max_degree : int;  (* monotone row-length high-water mark *)
     mutable moves : int;  (* lifetime object add/remove count *)
+    (* worst_case scratch, all-up between queries: *)
+    mutable plane : hits_plane;  (* slot -> hits of the picks so far *)
+    score : int array;  (* unit -> newly·base + progress *)
+    chosen : Bytes.t;  (* unit -> '\001' once picked *)
   }
 
   let create ~units ~s =
@@ -492,6 +490,9 @@ module Dyn = struct
       killed = 0;
       max_degree = 0;
       moves = 0;
+      plane = fresh_hits 0;
+      score = Array.make units 0;
+      chosen = Bytes.make units '\000';
     }
 
   let units t = t.units
@@ -516,6 +517,7 @@ module Dyn = struct
       t.hits <- hits;
       t.obj_units <- obj_units;
       t.pos <- pos;
+      t.plane <- fresh_hits cap;
       t.cap <- cap
     end
 
@@ -693,35 +695,59 @@ module Dyn = struct
   let worst_case t ~k =
     if k < 0 || k > t.units then
       invalid_arg "Kernel.Dyn.worst_case: more picks than units";
-    (* All-up scratch plane: the adversary attacks the current object
-       population from zero failures, never the live failure state. *)
-    let scratch = fresh_hits (max 1 t.b) in
-    let s = t.s in
-    let dead = ref 0 in
-    let marginal u =
-      let newly = ref 0 and progress = ref 0 in
-      let row = t.rows.(u) in
-      for i = 0 to t.row_len.(u) - 1 do
-        let h = scratch.{Array.unsafe_get row i} in
-        if h + 1 = s then incr newly;
-        if h < s then incr progress
+    (* Exact scores packed as in round_scan: base exceeds every row
+       length, so int order is (newly, progress) order.  All-up, every
+       row entry is progress, and newly only when one hit kills. *)
+    let s = t.s and base = 1 + t.max_degree in
+    let plane = t.plane and score = t.score and chosen = t.chosen in
+    for u = 0 to t.units - 1 do
+      let len = t.row_len.(u) in
+      score.(u) <- (if s = 1 then len * base else 0) + len
+    done;
+    let picks = Array.make k 0 in
+    let dead = ref 0 and updates = ref 0 in
+    for pick = 0 to k - 1 do
+      (* Argmax over the unchosen units, ties to the lowest id. *)
+      let best = ref (-1) and best_key = ref (-1) in
+      for u = 0 to t.units - 1 do
+        let key = Array.unsafe_get score u in
+        if key > !best_key && Bytes.unsafe_get chosen u = '\000' then begin
+          best := u;
+          best_key := key
+        end
       done;
-      (!newly, !progress)
-    in
-    let apply u =
+      let u = !best in
+      picks.(pick) <- u;
+      Bytes.unsafe_set chosen u '\001';
+      (* An entry whose hit count reaches s-1 becomes newly for all its
+         hosts; one that reaches s leaves both components. *)
       let row = t.rows.(u) in
       for i = 0 to t.row_len.(u) - 1 do
         let slot = Array.unsafe_get row i in
-        let h = scratch.{slot} + 1 in
-        scratch.{slot} <- h;
-        if h = s then incr dead
+        let h = plane.{slot} + 1 in
+        plane.{slot} <- h;
+        let delta =
+          if h = s - 1 then base else if h = s then -(base + 1) else 0
+        in
+        if delta <> 0 then begin
+          if h = s then incr dead;
+          let hosts = t.obj_units.(slot) in
+          for j = 0 to Array.length hosts - 1 do
+            let v = Array.unsafe_get hosts j in
+            Array.unsafe_set score v (Array.unsafe_get score v + delta)
+          done;
+          updates := !updates + Array.length hosts
+        end
       done
-    in
-    let picks, stats =
-      celf ~pool:None ~heap:None ~shards:(default_shards t.units) ~units:t.units
-        ~base:(1 + t.max_degree) ~marginal ~apply
-        ~chosen:(fun _ -> false)
-        ~picks:k
-    in
-    (picks, !dead, stats)
+    done;
+    (* Back to all-up: the picked rows cover every hit slot. *)
+    for pick = 0 to k - 1 do
+      let u = picks.(pick) in
+      Bytes.unsafe_set chosen u '\000';
+      let row = t.rows.(u) in
+      for i = 0 to t.row_len.(u) - 1 do
+        plane.{Array.unsafe_get row i} <- 0
+      done
+    done;
+    (picks, !dead, !updates)
 end

@@ -157,7 +157,7 @@ type kernel = t
     incidence as per-unit rows grown in amortized-doubling blocks with
     per-object back-pointers, so a churn engine can create and delete
     objects in O(r) per event and fail/recover units in O(load) —
-    re-scoring availability and the lazy-greedy adversary after every
+    re-scoring availability and the greedy adversary after every
     event without ever rebuilding (DESIGN.md §12). *)
 module Dyn : sig
   type t
@@ -239,16 +239,21 @@ module Dyn : sig
       the incremental state is tested against, and what a one-shot
       caller should use for B&B attacks. *)
 
-  val worst_case : t -> k:int -> int array * int * greedy_stats
-  (** CELF lazy-greedy adversary over the CURRENT object population,
-      attacking from all-up on a scratch counter plane (the live failure
-      state is left untouched and does not bias the adversary): returns
-      the k picks in order, the objects they kill, and the scan stats.
-      Runs the same CELF driver as {!select_greedy}, with the same
-      default shard count, so picks and stats are bit-identical to
-      {!select_greedy} on a freshly built flat kernel over the same live
-      objects — the packing base differs (a monotone degree high-water
-      mark) but every CELF comparison is base-invariant (see DESIGN.md
-      §12).
+  val worst_case : t -> k:int -> int array * int * int
+  (** Greedy adversary over the CURRENT object population, attacking
+      from all-up on a scratch counter plane (the live failure state is
+      left untouched and does not bias the adversary): returns the k
+      picks in order, the objects they kill, and the number of score
+      updates it made.  Each pick maximizes the exact
+      [(newly, progress)] pair with ties to the lowest unit id — the
+      rule of {!select_greedy} — so the picks and kills equal
+      {!select_greedy}'s on a freshly built flat kernel over the same
+      live objects.  Unlike CELF it keeps every unit's pair exact: the
+      scores start from the row lengths, and each pick patches the
+      scores of the hosts of every object it brings to s-1 or s hits
+      (one update per host), so a query costs k·units compares plus
+      k·load·r updates and allocates only its picks.  Its scratch
+      state lives in [t]: like every other operation here, one query at
+      a time per [t] (DESIGN.md §12).
       @raise Invalid_argument when [k] exceeds the unit count. *)
 end

@@ -9,7 +9,8 @@
 # smoke (rack adversary vs node adversary sanity inequality), a churn
 # smoke (a 10^4-event seeded trace replayed through the continuous
 # engine, diffed byte-for-byte against the pinned envelope in
-# scripts/churn_smoke.expected, and a second one with node leaves and
+# scripts/churn_smoke.expected, a 6000-event trace at n=1000, k=8
+# against scripts/churn_n1000.expected, and one with node leaves and
 # rejoins against scripts/churn_membership.expected), the serve gates
 # (a fixed event+query script answered over stdin must be
 # byte-identical to the batch churn --responses replay, a SIGTERM
@@ -84,6 +85,16 @@ dune exec bin/placement_tool.exe -- churn -n 50 -r 3 -s 2 -k 3 \
 diff scripts/churn_smoke.expected churn_smoke.json ||
   { echo "check.sh: churn smoke diverged from the pinned envelope (scripts/churn_smoke.expected)" >&2; exit 1; }
 rm -f churn_smoke.json
+
+# Churn at profbench's engine shape: the smoke above runs at n=50, k=3;
+# this 6000-event trace at n=1000, k=8 (profbench's unit count and
+# query size) pins the worst-case adversary, re-scored after every
+# event, through worst_available and min_worst_available.
+dune exec bin/placement_tool.exe -- churn -n 1000 -r 3 -s 2 -k 8 \
+  --seed 1 --count 6000 --measure-every 1000 --json > churn_n1000.json
+diff scripts/churn_n1000.expected churn_n1000.json ||
+  { echo "check.sh: churn n=1000 run diverged from the pinned envelope (scripts/churn_n1000.expected)" >&2; exit 1; }
+rm -f churn_n1000.json
 
 # Churn membership gate: the smoke above has no leave or join, so it
 # never routes around blocked blocks.  A 2*10^4-event trace with

@@ -1012,16 +1012,57 @@ let test_kernel_double_add () =
 (* ------------------------------------------------------------------ *)
 (* Dynamic kernel (Kernel.Dyn): object churn *)
 
+(* Full-rescan greedy through the flat kernel's own [marginal]: every
+   pick re-scores every unchosen unit, (newly, progress) lex with
+   lowest-id ties, and fails the winner in [kn] — so afterwards
+   [Kernel.killed kn] is the damage.  The naive reference for
+   Dyn.worst_case, independent of both its score updates and CELF. *)
+let rescan_greedy kn ~picks =
+  let n = Placement.Kernel.units kn in
+  let chosen = Array.make n false in
+  Array.init picks (fun _ ->
+      let best = ref (-1) and best_pair = ref (-1, -1) in
+      for u = 0 to n - 1 do
+        if not chosen.(u) then begin
+          let pair = Placement.Kernel.marginal kn u in
+          if compare pair !best_pair > 0 then begin
+            best := u;
+            best_pair := pair
+          end
+        end
+      done;
+      chosen.(!best) <- true;
+      Placement.Kernel.add kn !best;
+      !best)
+
+(* Dyn.worst_case against both references on a frozen, reset copy of
+   the live objects: CELF (select_greedy) and the full rescan must
+   agree with it on picks and damage. *)
+let dyn_worst_case_agrees dyn ~k =
+  let picks, dead, _ = Placement.Kernel.Dyn.worst_case dyn ~k in
+  let frozen = Placement.Kernel.Dyn.freeze dyn in
+  Placement.Kernel.reset frozen;
+  let celf, _ = Placement.Kernel.select_greedy frozen ~picks:k in
+  let celf_dead = Placement.Kernel.killed frozen in
+  Placement.Kernel.reset frozen;
+  let rescan = rescan_greedy frozen ~picks:k in
+  picks = celf && picks = rescan && dead = celf_dead
+  && dead = Placement.Kernel.killed frozen
+
 (* Random interleaving of object creates/deletes and unit
-   fails/recovers; after every operation the incremental state must
-   agree with the from-scratch recount, and the incremental adversary
-   must be bit-identical (picks, damage, scan stats) to select_greedy
-   on a freshly frozen flat kernel over the same live objects. *)
+   fails/recovers over 12 units, of which only the first 10 ever host a
+   replica (so zero-load units are always present); after every
+   operation the incremental state must agree with the from-scratch
+   recount, and the incremental adversary at k = 0, a drawn k and
+   k = units must match both greedy references on a freshly frozen flat
+   kernel over the same live objects, for s from 1 to 3. *)
 let test_kernel_dyn_oracle =
   qtest ~count:30 "Dyn ≡ from-scratch under random churn"
-    QCheck2.Gen.(pair (int_range 0 10000) (int_range 10 150))
-    (fun (seed, ops) ->
-      let n = 10 and r = 3 and s = 2 and k = 3 in
+    QCheck2.Gen.(
+      quad (int_range 0 10000) (int_range 10 150) (int_range 1 3)
+        (int_range 0 12))
+    (fun (seed, ops, s, k) ->
+      let n = 12 and hosts = 10 and r = 3 in
       let rng = Combin.Rng.create seed in
       let dyn = Placement.Kernel.Dyn.create ~units:n ~s in
       for _ = 1 to ops do
@@ -1033,7 +1074,7 @@ let test_kernel_dyn_oracle =
         if d < 50 || b = 0 then
           ignore
             (Placement.Kernel.Dyn.add_object dyn
-               (Combin.Rng.sample_distinct rng ~n ~k:r))
+               (Combin.Rng.sample_distinct rng ~n:hosts ~k:r))
         else if d < 70 then
           ignore
             (Placement.Kernel.Dyn.remove_object dyn (Combin.Rng.int rng b))
@@ -1056,23 +1097,17 @@ let test_kernel_dyn_oracle =
         (* Oracle 2: the frozen flat kernel agrees on the dead tally. *)
         let frozen = Placement.Kernel.Dyn.freeze dyn in
         assert (Placement.Kernel.killed frozen = recount);
-        (* Oracle 3: incremental adversary ≡ scratch adversary. *)
-        let picks, dead, stats = Placement.Kernel.Dyn.worst_case dyn ~k in
-        Placement.Kernel.reset frozen;
-        let picks_ref, stats_ref =
-          Placement.Kernel.select_greedy frozen ~picks:k
-        in
-        assert (picks = picks_ref);
-        assert (dead = Placement.Kernel.killed frozen);
-        assert (stats = stats_ref)
+        (* Oracle 3: incremental adversary ≡ CELF ≡ full rescan. *)
+        List.iter
+          (fun k -> assert (dyn_worst_case_agrees dyn ~k))
+          [ 0; k; n ]
       done;
       true)
 
-(* The same parity at a unit count where the CELF driver shards: both
-   arms run default_shards 1100 > 1 heaps, so picks, damage and stats
-   must still agree — after deletes have left Dyn's degree high-water
-   mark above the live maximum, and with units failed (the attack
-   starts from all-up regardless). *)
+(* The same agreement at a unit count where CELF shards (default_shards
+   1100 > 1 heaps), after deletes have left Dyn's degree high-water mark
+   above the live maximum, and with units failed (the attack starts
+   from all-up regardless). *)
 let test_kernel_dyn_sharded () =
   let units = 1100 and s = 2 and k = 8 in
   Alcotest.(check bool) "shards" true
@@ -1094,14 +1129,51 @@ let test_kernel_dyn_sharded () =
          (Combin.Rng.int rng (Placement.Kernel.Dyn.objects dyn)))
   done;
   List.iter (Placement.Kernel.Dyn.fail_unit dyn) [ 3; 700; 1099 ];
-  let picks, dead, stats = Placement.Kernel.Dyn.worst_case dyn ~k in
-  let frozen = Placement.Kernel.Dyn.freeze dyn in
-  Placement.Kernel.reset frozen;
-  let picks_ref, stats_ref = Placement.Kernel.select_greedy frozen ~picks:k in
-  Alcotest.(check (array int)) "picks" picks_ref picks;
-  Alcotest.(check int) "dead" (Placement.Kernel.killed frozen) dead;
-  Alcotest.(check bool) "stats" true (stats = stats_ref);
-  Alcotest.(check bool) "kills something" true (dead > 0)
+  Alcotest.(check bool) "agrees with CELF and rescan" true
+    (dyn_worst_case_agrees dyn ~k);
+  let _, dead, updates = Placement.Kernel.Dyn.worst_case dyn ~k in
+  Alcotest.(check bool) "kills something" true (dead > 0);
+  Alcotest.(check bool) "updates scores" true (updates > 0)
+
+(* worst_case keeps its scratch plane, scores and chosen flags inside
+   the Dyn state and restores them after every query: back-to-back
+   queries agree, the live failure state is untouched, and both still
+   hold after an add that grows the slot capacity and a remove that
+   moves the last slot into the freed one. *)
+let test_kernel_dyn_worst_case_reset () =
+  let units = 30 and s = 2 and k = 5 in
+  let rng = Combin.Rng.create 11 in
+  let dyn = Placement.Kernel.Dyn.create ~units ~s in
+  let add () =
+    ignore
+      (Placement.Kernel.Dyn.add_object dyn
+         (Combin.Rng.sample_distinct rng ~n:units ~k:3))
+  in
+  for _ = 1 to 20 do add () done;
+  List.iter (Placement.Kernel.Dyn.fail_unit dyn) [ 2; 9; 17 ];
+  let snapshot () =
+    let b = Placement.Kernel.Dyn.objects dyn in
+    ( Placement.Kernel.Dyn.killed dyn,
+      Array.init b (Placement.Kernel.Dyn.hits dyn),
+      Placement.Kernel.Dyn.failed_units dyn )
+  in
+  let check_stable label =
+    let before = snapshot () in
+    let first = Placement.Kernel.Dyn.worst_case dyn ~k in
+    let second = Placement.Kernel.Dyn.worst_case dyn ~k in
+    Alcotest.(check bool) (label ^ ": back-to-back agree") true (first = second);
+    Alcotest.(check bool) (label ^ ": live state untouched") true
+      (snapshot () = before);
+    Alcotest.(check bool) (label ^ ": matches references") true
+      (dyn_worst_case_agrees dyn ~k)
+  in
+  check_stable "initial";
+  (* 20 -> 40 objects crosses the 32-slot capacity. *)
+  for _ = 1 to 20 do add () done;
+  check_stable "after growth";
+  let moved = Placement.Kernel.Dyn.remove_object dyn 0 in
+  Alcotest.(check bool) "last slot moved" true (moved <> 0);
+  check_stable "after remove"
 
 let test_kernel_dyn_guards () =
   let dyn = Placement.Kernel.Dyn.create ~units:4 ~s:2 in
@@ -1588,6 +1660,8 @@ let () =
           Alcotest.test_case "dyn guards" `Quick test_kernel_dyn_guards;
           Alcotest.test_case "dyn swap-remove" `Quick
             test_kernel_dyn_swap_remove;
+          Alcotest.test_case "dyn worst_case restores its scratch" `Quick
+            test_kernel_dyn_worst_case_reset;
         ] );
       ( "codec",
         [
