@@ -69,140 +69,3 @@ let pop h =
     end;
     Some top
   end
-
-module Int_max = struct
-  (* Same sift structure as the float heap, but over (key, payload) int
-     pairs with the total order: key desc, then payload asc — so equal
-     bounds pop in node-id order, matching the greedy scan's tie-break. *)
-  type t = {
-    mutable keys : int array;
-    mutable payloads : int array;
-    mutable size : int;
-  }
-
-  let create () = { keys = Array.make 16 0; payloads = Array.make 16 0; size = 0 }
-  let is_empty h = h.size = 0
-  let size h = h.size
-
-  (* Keep the grown arrays: a cleared heap refills without reallocating,
-     which is what lets a B&B worker reuse one heap across thousands of
-     greedy-completion probes (Placement.Bb). *)
-  let clear h = h.size <- 0
-
-  (* [before] is the strict heap order: entry i should pop before j. *)
-  let before h i j =
-    h.keys.(i) > h.keys.(j)
-    || (h.keys.(i) = h.keys.(j) && h.payloads.(i) < h.payloads.(j))
-
-  let swap h i j =
-    let tk = h.keys.(i) in
-    h.keys.(i) <- h.keys.(j);
-    h.keys.(j) <- tk;
-    let tp = h.payloads.(i) in
-    h.payloads.(i) <- h.payloads.(j);
-    h.payloads.(j) <- tp
-
-  let grow h =
-    if h.size = Array.length h.keys then begin
-      let cap = 2 * Array.length h.keys in
-      let keys = Array.make cap 0 and payloads = Array.make cap 0 in
-      Array.blit h.keys 0 keys 0 h.size;
-      Array.blit h.payloads 0 payloads 0 h.size;
-      h.keys <- keys;
-      h.payloads <- payloads
-    end
-
-  let push h ~key payload =
-    grow h;
-    h.keys.(h.size) <- key;
-    h.payloads.(h.size) <- payload;
-    h.size <- h.size + 1;
-    let i = ref (h.size - 1) in
-    while !i > 0 && before h !i ((!i - 1) / 2) do
-      swap h !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
-
-  (* Append [count] entries then restore the heap property bottom-up
-     (Floyd): O(size + count) instead of the O(count·log size) of
-     repeated pushes.  Because the heap order is a strict total order on
-     (key, payload) pairs, the pop sequence is identical either way —
-     batching changes only the internal layout.  Small batches (where
-     count·log2 size is cheaper than one O(size) heapify) fall back to
-     repeated sift-up pushes; the cutoff only moves work between
-     equivalent heaps, never the pop order. *)
-  let push_many h ~keys ~payloads ~count =
-    if count < 0 || count > Array.length keys || count > Array.length payloads
-    then invalid_arg "Heap.Int_max.push_many";
-    let final = h.size + count in
-    let bits =
-      let b = ref 1 and v = ref final in
-      while !v > 1 do
-        incr b;
-        v := !v lsr 1
-      done;
-      !b
-    in
-    if count * bits < final then
-      for i = 0 to count - 1 do
-        push h ~key:keys.(i) payloads.(i)
-      done
-    else if count > 0 then begin
-      if h.size + count > Array.length h.keys then begin
-        let cap = max (2 * Array.length h.keys) (h.size + count) in
-        let ks = Array.make cap 0 and ps = Array.make cap 0 in
-        Array.blit h.keys 0 ks 0 h.size;
-        Array.blit h.payloads 0 ps 0 h.size;
-        h.keys <- ks;
-        h.payloads <- ps
-      end;
-      Array.blit keys 0 h.keys h.size count;
-      Array.blit payloads 0 h.payloads h.size count;
-      h.size <- h.size + count;
-      let sift_down i =
-        let i = ref i in
-        let continue_ = ref true in
-        while !continue_ do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let first = ref !i in
-          if l < h.size && before h l !first then first := l;
-          if r < h.size && before h r !first then first := r;
-          if !first = !i then continue_ := false
-          else begin
-            swap h !i !first;
-            i := !first
-          end
-        done
-      in
-      for i = (h.size - 2) / 2 downto 0 do
-        sift_down i
-      done
-    end
-
-  let peek h = if h.size = 0 then None else Some (h.keys.(0), h.payloads.(0))
-
-  let pop h =
-    if h.size = 0 then None
-    else begin
-      let top = (h.keys.(0), h.payloads.(0)) in
-      h.size <- h.size - 1;
-      if h.size > 0 then begin
-        h.keys.(0) <- h.keys.(h.size);
-        h.payloads.(0) <- h.payloads.(h.size);
-        let i = ref 0 in
-        let continue_ = ref true in
-        while !continue_ do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let first = ref !i in
-          if l < h.size && before h l !first then first := l;
-          if r < h.size && before h r !first then first := r;
-          if !first = !i then continue_ := false
-          else begin
-            swap h !i !first;
-            i := !first
-          end
-        done
-      end;
-      Some top
-    end
-end

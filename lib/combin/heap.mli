@@ -18,42 +18,3 @@ val pop : 'a t -> (float * 'a) option
     order are not guaranteed. *)
 
 val peek : 'a t -> (float * 'a) option
-
-(** An int-keyed max-heap over int payloads with a deterministic total
-    order: larger key first, ties to the {e smaller} payload.
-
-    Backs the CELF lazy-greedy adversary ({!Placement.Adversary}):
-    payloads are node ids, keys are stale upper bounds on marginal
-    damage, and the tie order reproduces the reference scan's
-    lowest-id-wins rule exactly. *)
-module Int_max : sig
-  type t
-
-  val create : unit -> t
-  val is_empty : t -> bool
-  val size : t -> int
-
-  val clear : t -> unit
-  (** Empty the heap without releasing its storage, so a long-lived heap
-      can be refilled with no per-use allocation (the reuse path of the
-      B&B frontier's per-worker CELF probes, {!Placement.Bb}). *)
-
-  val push : t -> key:int -> int -> unit
-  (** [push h ~key payload]. *)
-
-  val push_many : t -> keys:int array -> payloads:int array -> count:int -> unit
-  (** Insert the first [count] entries of [keys]/[payloads] in one
-      batch: bulk append plus a bottom-up (Floyd) heapify, O(size +
-      count) against O(count·log size) for repeated {!push}; small
-      batches fall back to repeated pushes when that is cheaper.  The heap
-      order is a strict total order, so the subsequent pop sequence is
-      identical to pushing one at a time.  Backs the CELF greedy's
-      per-round loser re-push ({!Placement.Kernel.select_greedy}).
-      @raise Invalid_argument if [count] exceeds either array. *)
-
-  val pop : t -> (int * int) option
-  (** Remove and return the maximum entry as [(key, payload)]; among
-      equal keys the smallest payload is returned first. *)
-
-  val peek : t -> (int * int) option
-end

@@ -488,6 +488,24 @@ let replace t id =
   occupy t x block;
   Hashtbl.replace t.assignments id { level = x; block }
 
+(* Every block holding [nd] gains ([delta] = 1) or loses ([delta] = -1)
+   one retired member; a block whose count crosses between 0 and 1
+   turns blocked or unblocked, and is refreshed. *)
+let shift_blocked t nd delta =
+  let edge = if delta > 0 then 1 else 0 in
+  Array.iter
+    (fun st ->
+      for i = 0 to st.nblocks - 1 do
+        if Array.exists (fun m -> m = nd) st.blocks.(i) then begin
+          st.blocked.(i) <- st.blocked.(i) + delta;
+          if st.blocked.(i) = edge then begin
+            st.nblocked <- st.nblocked + delta;
+            refresh st i
+          end
+        end
+      done)
+    t.levels
+
 let retire_node t nd =
   if nd < 0 || nd >= t.n then
     invalid_arg (Printf.sprintf "Adaptive.retire_node: node %d out of range" nd);
@@ -496,18 +514,7 @@ let retire_node t nd =
       (Printf.sprintf "Adaptive.retire_node: node %d is already retired" nd);
   t.retired.(nd) <- true;
   t.nretired <- t.nretired + 1;
-  Array.iter
-    (fun st ->
-      for i = 0 to st.nblocks - 1 do
-        if Array.exists (fun m -> m = nd) st.blocks.(i) then begin
-          st.blocked.(i) <- st.blocked.(i) + 1;
-          if st.blocked.(i) = 1 then begin
-            st.nblocked <- st.nblocked + 1;
-            refresh st i
-          end
-        end
-      done)
-    t.levels
+  shift_blocked t nd 1
 
 let unretire_node t nd =
   if nd < 0 || nd >= t.n then
@@ -518,18 +525,7 @@ let unretire_node t nd =
       (Printf.sprintf "Adaptive.unretire_node: node %d is not retired" nd);
   t.retired.(nd) <- false;
   t.nretired <- t.nretired - 1;
-  Array.iter
-    (fun st ->
-      for i = 0 to st.nblocks - 1 do
-        if Array.exists (fun m -> m = nd) st.blocks.(i) then begin
-          st.blocked.(i) <- st.blocked.(i) - 1;
-          if st.blocked.(i) = 0 then begin
-            st.nblocked <- st.nblocked - 1;
-            refresh st i
-          end
-        end
-      done)
-    t.levels
+  shift_blocked t nd (-1)
 
 let lower_bound ?k t =
   let k = Option.value ~default:t.k k in

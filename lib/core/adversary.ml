@@ -23,7 +23,7 @@ type attack = {
    are Volatile.  Hot loops accumulate plain local ints inside Kernel
    and Bb and flush here once per search. *)
 type metrics = {
-  flush_greedy : Kernel.greedy_stats -> updates:int -> unit;
+  flush_greedy : work:int -> updates:int -> unit;
   flush_bb : Bb.stats -> unit;
   truncations : Telemetry.Counter.t;
 }
@@ -33,7 +33,6 @@ let metrics prefix =
   let stable name = Telemetry.Registry.counter (path name) in
   let volatile name = Telemetry.Registry.counter ~kind:Volatile (path name) in
   let runs = stable "greedy/runs" and evals = stable "greedy/marginal_evals"
-  and pops = stable "kernel/heap_pops" and stale = stable "kernel/stale_reevals"
   and updates = stable "kernel/updates" and spawned = stable "bb/spawned_tasks"
   and spawn_depth = Telemetry.Registry.gauge ~kind:Stable (path "bb/spawn_depth")
   and undo_depth =
@@ -56,11 +55,9 @@ let metrics prefix =
   in
   {
     flush_greedy =
-      (fun (st : Kernel.greedy_stats) ~updates:u ->
+      (fun ~work ~updates:u ->
         Telemetry.Counter.incr runs;
-        Telemetry.Counter.add evals st.evals;
-        Telemetry.Counter.add pops st.heap_pops;
-        Telemetry.Counter.add stale st.stale_reevals;
+        Telemetry.Counter.add evals work;
         Telemetry.Counter.add updates u);
     flush_bb =
       (fun st ->
@@ -81,8 +78,8 @@ let m_attack_exact = Telemetry.Registry.counter "core/adversary/attack/exact_dis
 let m_attack_heur = Telemetry.Registry.counter "core/adversary/attack/heuristic_dispatch"
 
 (* One-shot scoring: a single O(b·r) merge pass with no allocation.
-   Routing this through a throwaway Kernel would rebuild the per-object
-   incidence bitsets on every call; repeated-eval callers should hold a
+   Routing this through a throwaway Kernel would allocate its O(b)
+   counter plane on every call; repeated-eval callers should hold a
    {!Kernel.t} across calls instead (Kernel.check, or add + killed). *)
 let eval layout ~s failed_nodes = Layout.failed_objects layout ~s ~failed_nodes
 
@@ -93,9 +90,9 @@ let pmap pool f xs =
 
 type search = { units : int array; killed : int; optimal : bool }
 
-let search_greedy ?pool m kn ~k =
-  let picks, stats = Kernel.select_greedy ?pool kn ~picks:k in
-  m.flush_greedy stats ~updates:(Kernel.updates kn);
+let search_greedy m kn ~k =
+  let picks, work = Kernel.select_greedy kn ~picks:k in
+  m.flush_greedy ~work ~updates:(Kernel.updates kn);
   {
     units = Combin.Intset.of_array picks;
     killed = Kernel.killed kn;
@@ -106,7 +103,7 @@ let search_greedy ?pool m kn ~k =
 let search_exact ?(budget = 50_000_000) ?spawn_depth ?pool m kn ~k =
   if k = 0 then { units = [||]; killed = 0; optimal = true }
   else begin
-    let g = search_greedy ?pool m (Kernel.copy kn) ~k in
+    let g = search_greedy m (Kernel.copy kn) ~k in
     let r =
       Bb.search ?pool ?spawn_depth ~budget ~kernel:kn ~k ~seed:g.killed ()
     in
@@ -129,8 +126,8 @@ let search_exact ?(budget = 50_000_000) ?spawn_depth ?pool m kn ~k =
 let of_search r =
   { failed_nodes = r.units; failed_objects = r.killed; exact = r.optimal }
 
-let greedy ?pool layout ~s ~k =
-  of_search (search_greedy ?pool core (Kernel.make layout ~s) ~k)
+let greedy layout ~s ~k =
+  of_search (search_greedy core (Kernel.make layout ~s) ~k)
 
 let exact ?budget ?spawn_depth ?pool layout ~s ~k =
   if k >= layout.Layout.n then invalid_arg "Adversary.exact: k >= n";

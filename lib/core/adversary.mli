@@ -41,10 +41,10 @@ type search = {
   optimal : bool;  (** proved optimal by branch-and-bound *)
 }
 
-val search_greedy :
-  ?pool:Engine.Pool.t -> metrics -> Kernel.t -> k:int -> search
+val search_greedy : metrics -> Kernel.t -> k:int -> search
 (** {!Kernel.select_greedy} for [k] picks on the given kernel (left
-    with the picks applied); [optimal = false]. *)
+    with the picks applied); [optimal = false].  Its work count lands
+    in [greedy/marginal_evals]. *)
 
 val search_exact :
   ?budget:int -> ?spawn_depth:int -> ?pool:Engine.Pool.t ->
@@ -82,12 +82,11 @@ val exact_seq : ?budget:int -> Layout.t -> s:int -> k:int -> attack
     whenever neither truncates; tests and the bench gate diff against
     it. *)
 
-val greedy : ?pool:Engine.Pool.t -> Layout.t -> s:int -> k:int -> attack
+val greedy : Layout.t -> s:int -> k:int -> attack
 (** {!search_greedy} over the layout's nodes: add the node with the best
     marginal damage k times; ties broken by progress toward failing
-    objects, then by lowest node id — a full rescan's picks, at any
-    [pool] size, while touching far fewer marginals on large
-    instances. *)
+    objects, then by lowest node id — a full rescan's picks, from one
+    marginal per node plus exact score updates per pick. *)
 
 val local_search :
   rng:Combin.Rng.t -> ?restarts:int -> ?pool:Engine.Pool.t ->

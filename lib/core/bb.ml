@@ -28,10 +28,10 @@
    equals the sequential reference (spawn_depth = k) at any -j and any
    schedule, even though which nodes get pruned varies run to run.
 
-   Greedy completions (CELF over a task's remaining picks, through the
-   worker's reusable heap) are pure pruning accelerators: they publish
-   to the shared bound and are NEVER recorded as results, so gating them
-   on timing-dependent worker state is safe.
+   Greedy completions (Kernel.select_greedy over a task's remaining
+   picks, on the worker's kernel copy) are pure pruning accelerators:
+   they publish to the shared bound and are NEVER recorded as results,
+   so gating them on timing-dependent worker state is safe.
 
    Truncation: once the global budget is exhausted, which subtrees were
    explored is timing-dependent, so any "best so far" would not be
@@ -62,13 +62,12 @@ type result = {
 }
 
 (* Per-worker scratch: one kernel copy per slot for the whole batch,
-   retargeted between tasks by prefix diffing; one reusable CELF heap;
-   plain-int statistics flushed by the caller after the batch. *)
+   retargeted between tasks by prefix diffing; plain-int statistics
+   flushed by the caller after the batch. *)
 type scratch = {
   st : Kernel.t;
   path : int array;  (* capacity k: applied prefix ++ DFS path *)
   mutable plen : int;  (* applied prefix length *)
-  heap : Combin.Heap.Int_max.t;
   mutable quota : int;  (* node allowance drawn from the global budget *)
   mutable dead : bool;  (* this slot observed budget exhaustion *)
   mutable tasks_run : int;
@@ -216,7 +215,6 @@ let search ?pool ?spawn_depth ~budget ~kernel:kn0 ~k ~seed () =
             st = Kernel.copy kn0;
             path = Array.make k 0;
             plen = 0;
-            heap = Combin.Heap.Int_max.create ();
             quota = 0;
             dead = false;
             tasks_run = 0;
@@ -258,12 +256,11 @@ let search ?pool ?spawn_depth ~budget ~kernel:kn0 ~k ~seed () =
     sc.plen <- pl
   in
   (* Publish-only greedy completion of the applied prefix: raises the
-     shared pruning bound, records nothing (see header), and reuses the
-     slot's heap so repeated probes allocate no heap storage. *)
+     shared pruning bound and records nothing (see header). *)
   let probe sc =
     let picks = k - sc.plen in
     if picks > 0 then begin
-      let sel, _ = Kernel.select_greedy ~heap:sc.heap sc.st ~picks in
+      let sel, _ = Kernel.select_greedy sc.st ~picks in
       let v = Kernel.killed sc.st in
       if Engine.Bound.improve shared v then
         sc.publications <- sc.publications + 1;

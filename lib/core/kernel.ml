@@ -1,10 +1,3 @@
-type incidence =
-  | Unknown  (* not yet needed: only {!check} pays for the bitsets *)
-  | Multiplicity
-      (* some unit hosts an object more than once (e.g. a fault domain
-         with two replicas of it): popcounts would undercount hits *)
-  | Bitsets of Combin.Bitset.t array  (* object -> units hosting it *)
-
 type hits_plane =
   (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -12,49 +5,30 @@ type t = {
   s : int;
   b : int;
   csr : Combin.Csr.t;  (* shared flat incidence: unit -> replicas *)
-  inc : incidence ref;  (* lazy bitset cache, shared across copies *)
+  hosts : int array array;  (* shared: object -> host entries *)
+  unit_of : int array;  (* shared: host entry -> unit, -1 = none *)
   hits : hits_plane;  (* per-object failed-replica counters *)
   failed : Combin.Bitset.t;
   mutable killed : int;
   mutable updates : int;
 }
 
-(* Built on first use: the incremental paths (add/remove/marginal and
-   select_greedy) never touch the bitsets, so greedy-only callers skip
-   the O(b·units/63) allocation entirely.  Duplicate detection is fused
-   into the build — a second occurrence of (obj, u) sees its bit set.
-   The cache cell is shared by every copy, so one build serves all
-   branches of a search. *)
-let incidence t =
-  match !(t.inc) with
-  | (Multiplicity | Bitsets _) as inc -> inc
-  | Unknown ->
-      let units = Combin.Csr.rows t.csr in
-      let out = Array.init t.b (fun _ -> Combin.Bitset.create units) in
-      let inc =
-        try
-          for u = 0 to units - 1 do
-            Combin.Csr.iter_row t.csr u (fun obj ->
-                if Combin.Bitset.mem out.(obj) u then raise Exit;
-                Combin.Bitset.add out.(obj) u)
-          done;
-          Bitsets out
-        with Exit -> Multiplicity
-      in
-      t.inc := inc;
-      inc
-
 let fresh_hits b =
   let h = Bigarray.Array1.create Bigarray.int16_unsigned Bigarray.c_layout b in
   Bigarray.Array1.fill h 0;
   h
 
-let of_csr ~s csr =
+(* [hosts] is the transpose of [csr] read through [unit_of]: every
+   occurrence of an object in a unit's row is one host entry of that
+   object mapping to the unit, so a unit holding several replicas of an
+   object is listed once per replica. *)
+let build ~s csr ~hosts ~unit_of =
   {
     s;
     b = Combin.Csr.cols csr;
     csr;
-    inc = ref Unknown;
+    hosts;
+    unit_of;
     hits = fresh_hits (Combin.Csr.cols csr);
     failed = Combin.Bitset.create (Combin.Csr.rows csr);
     (* s <= 0 kills every object unconditionally, matching
@@ -63,8 +37,44 @@ let of_csr ~s csr =
     updates = 0;
   }
 
-let of_groups ~s ~b groups = of_csr ~s (Combin.Csr.of_arrays ~cols:b groups)
-let make layout ~s = of_csr ~s (Layout.incidence layout)
+let of_groups ~s ~b groups =
+  let csr = Combin.Csr.of_arrays ~cols:b groups in
+  let counts = Array.make b 0 in
+  Array.iter (Array.iter (fun obj -> counts.(obj) <- counts.(obj) + 1)) groups;
+  let hosts = Array.map (fun c -> Array.make c 0) counts in
+  Array.fill counts 0 b 0;
+  Array.iteri
+    (fun u row ->
+      Array.iter
+        (fun obj ->
+          hosts.(obj).(counts.(obj)) <- u;
+          counts.(obj) <- counts.(obj) + 1)
+        row)
+    groups;
+  build ~s csr ~hosts ~unit_of:(Array.init (Array.length groups) Fun.id)
+
+(* Node kernels read the layout's replica table as their object → hosts
+   index; domain kernels read it through a node → domain map, so
+   neither allocates a transpose. *)
+let make ?domains layout ~s =
+  let n = layout.Layout.n and hosts = layout.Layout.replicas in
+  match domains with
+  | None ->
+      build ~s (Layout.incidence layout) ~hosts
+        ~unit_of:(Array.init n Fun.id)
+  | Some members ->
+      let csr = Combin.Csr.group (Layout.incidence layout) members in
+      let unit_of = Array.make n (-1) in
+      Array.iteri
+        (fun d ms ->
+          Array.iter
+            (fun nd ->
+              if unit_of.(nd) >= 0 then
+                invalid_arg "Kernel.make: a node belongs to two domains";
+              unit_of.(nd) <- d)
+            ms)
+        members;
+      build ~s csr ~hosts ~unit_of
 
 (* An exact duplicate of the current attack state: the counter plane is
    one blit, the incidence is shared untouched.  Copying an all-up
@@ -151,282 +161,110 @@ let marginal t u =
   done;
   (!newly, !progress)
 
-(* Multiplicity-bearing (or forced) evaluation: one scratch counter pass
-   over the rows of the set.  O(b) scratch, one-shot callers only. *)
-let scratch_count t set =
-  let counts = Array.make t.b 0 in
-  let dead = ref 0 in
-  Array.iter
-    (fun u ->
-      Combin.Csr.iter_row t.csr u (fun obj ->
-          let h = counts.(obj) + 1 in
-          counts.(obj) <- h;
-          if h = t.s then incr dead))
-    set;
-  !dead
-
-let check_scratch t set =
-  if not (Combin.Intset.is_sorted_distinct set) then
-    invalid_arg "Kernel.check_scratch: unit set not sorted/distinct";
-  if t.s <= 0 then t.b else scratch_count t set
-
+(* One scratch counter pass over the rows of the set: O(b) scratch,
+   one-shot callers only. *)
 let check t set =
   if not (Combin.Intset.is_sorted_distinct set) then
     invalid_arg "Kernel.check: unit set not sorted/distinct";
   if t.s <= 0 then t.b
-  else
-    match incidence t with
-    | Bitsets obj_units ->
-        (* Popcount-threshold over the per-object incidence bitsets. *)
-        let fail = Combin.Bitset.of_array ~capacity:(units t) set in
-        let dead = ref 0 in
-        Array.iter
-          (fun hosts ->
-            if Combin.Bitset.inter_count hosts fail >= t.s then incr dead)
-          obj_units;
-        !dead
-    | Unknown | Multiplicity -> scratch_count t set
-
-(* ------------------------------------------------------------------ *)
-(* CELF lazy-greedy selection.
-
-   The scan objective is the pair (newly, progress), lexicographic,
-   ties to the lowest unit id.  Pack it into one int,
-   P(ne,pr) = ne·base + pr, so pair order = int order — provided base
-   exceeds every reachable progress value.  Both components count
-   *occurrences* in the unit's CSR row, so on a group kernel (fault
-   domains holding up to r replicas per object) they range up to
-   degree(u), which can exceed b (e.g. 2 datacenters with r = 3 give
-   degree ≈ 1.5·b); b+1 is NOT a safe base there, hence base is derived
-   from the largest row degree.  [newly] is not monotone under set
-   growth (an object two short of s contributes 0 today and 1 after
-   another hit), so a stale exact value is NOT a valid cache — but
-   [progress] never grows (hits only increase while a unit stays
-   unchosen), hence B(pr) = P(pr,pr) ≥ every future exact value of that
-   unit.  The heap therefore stores progress-derived bounds only; each
-   pop pays an exact O(load) re-check, and a round closes only when the
-   best exact value seen cannot be beaten or tied-with-lower-id by any
-   remaining bound.  (B = P forces newly = progress, so the tie test
-   against a bound is exact.) *)
-
-type greedy_stats = { evals : int; heap_pops : int; stale_reevals : int }
-
-(* One selection round over [heap] against the counter state [st]: pop
-   candidates while a remaining bound could beat or tie-with-lower-id
-   the best exact value seen, then re-push every popped loser with a
-   refreshed bound in ONE batch (Heap.Int_max.push_many) while the
-   winner stays out.  The batch changes only heap internals — the heap
-   order is total, so pops (and hence picks and stats) are identical to
-   the one-push-per-loser formulation, minus its per-loser sift cost.
-   Returns best_id = -1 on an empty heap (a shard may run dry; the
-   drivers' callers guard against too many picks up front).
-
-   Every comparison below is a lexicographic (newly, progress) pair
-   comparison — valid for ANY packing base exceeding the largest
-   reachable component.  {!Dyn.worst_case} packs its exact scores the
-   same way, with its own base, and so ranks units identically. *)
-let round_scan ~marginal heap ~packed =
-  let best_key = ref (-1) and best_id = ref (-1) and best_pr = ref 0 in
-  let evals = ref 0 and pops = ref 0 and stale = ref 0 in
-  let cap = ref 16 and cnt = ref 0 and best_slot = ref (-1) in
-  let lkeys = ref (Array.make 16 0) and lpays = ref (Array.make 16 0) in
-  let record_popped key u =
-    if !cnt = !cap then begin
-      cap := 2 * !cap;
-      let k2 = Array.make !cap 0 and p2 = Array.make !cap 0 in
-      Array.blit !lkeys 0 k2 0 !cnt;
-      Array.blit !lpays 0 p2 0 !cnt;
-      lkeys := k2;
-      lpays := p2
-    end;
-    !lkeys.(!cnt) <- key;
-    !lpays.(!cnt) <- u;
-    incr cnt
-  in
-  let stop = ref false in
-  while not !stop do
-    match Combin.Heap.Int_max.peek heap with
-    | None -> stop := true
-    | Some (key, u) ->
-        (* Remaining exact values are ≤ key; they lose outright when
-           key < best, and on key = best any exact tie sits at an id
-           above [u] > [best_id], which the scan would also reject. *)
-        if key < !best_key || (key = !best_key && u > !best_id) then
-          stop := true
-        else begin
-          ignore (Combin.Heap.Int_max.pop heap);
-          incr pops;
-          let ne, pr = marginal u in
-          incr evals;
-          let exact = packed ne pr in
-          if packed pr pr < key then incr stale;
-          record_popped (packed pr pr) u;
-          if exact > !best_key || (exact = !best_key && u < !best_id) then begin
-            best_key := exact;
-            best_id := u;
-            best_pr := pr;
-            best_slot := !cnt - 1
-          end
-        end
-  done;
-  (* Losers re-enter with refreshed bounds in one batch; the winner is
-     swapped to the tail and withheld. *)
-  if !best_slot >= 0 then begin
-    let last = !cnt - 1 in
-    !lkeys.(!best_slot) <- !lkeys.(last);
-    !lpays.(!best_slot) <- !lpays.(last);
-    cnt := last
-  end;
-  Combin.Heap.Int_max.push_many heap ~keys:!lkeys ~payloads:!lpays ~count:!cnt;
-  (!best_key, !best_id, !best_pr, !evals, !pops, !stale)
-
-(* ------------------------------------------------------------------ *)
-(* The CELF driver.  Unit ids are cut into contiguous shards, each with
-   its own bound heap; per pick every shard produces its exact-checked
-   local argmax (in parallel over [pool] when there are several shards)
-   and the reduce applies the global (packed value desc, unit id asc)
-   order.  The winner is the lowest id attaining the global exact
-   maximum — a full rescan's own choice — so picks do not depend on the
-   shard count or the pool.  The statistics do depend on the shard
-   count (which candidates a round pops depends on which units share a
-   heap), but the shard count is a pure function of the unit count,
-   never of the pool, so the Stable telemetry stays -j-invariant; see
-   DESIGN.md §11.  One shard is the classic single-heap CELF: the same
-   loop, not a separate path.
-
-   All shards read the caller's ONE counter state: within a round
-   [marginal] is read-only (a shard mutates only its own heap), and the
-   winner's [apply] lands on the calling domain between rounds — so
-   rounds are data-race free and the hits plane stays a single
-   cache-resident copy instead of a per-shard mirror (which costs ~2×
-   wall on b ~ 10^6 planes from the extra memory traffic alone). *)
-
-type shard = {
-  heap : Combin.Heap.Int_max.t;
-  lo : int;
-  hi : int;  (* owned unit ids: [lo, hi) *)
-  mutable filled : bool;
-  mutable held : int;  (* local best withheld from the heap; -1 = none *)
-  mutable held_pr : int;  (* its progress at the exact eval, a valid bound *)
-  mutable s_evals : int;
-  mutable s_pops : int;
-  mutable s_stale : int;
-}
-
-(* ~512 units per shard: small enough that a 10^4-node instance spreads
-   over ~20 shards, large enough that a shard amortizes its batch
-   dispatch; capped so shard state stays bounded.  Must stay a pure
-   function of [units] — see above. *)
-let default_shards units = min 64 (max 1 (units / 512))
-
-(* A lone shard runs on the calling domain: a pool batch would buy no
-   parallelism and only move the pool's own counters. *)
-let pmap pool f xs =
-  match pool with
-  | Some p when Array.length xs > 1 -> Engine.Pool.parallel_map p f xs
-  | _ -> Array.map f xs
-
-(* [marginal] scores a unit against the counter state, [apply] fails
-   the round's winner in it, [chosen] marks units already failed (never
-   candidates); [base] packs the pair as in round_scan. *)
-let celf ~pool ~heap ~shards:nshards ~units:n ~base ~marginal ~apply ~chosen
-    ~picks =
-  let packed ne pr = (ne * base) + pr in
-  let shards =
-    Array.init nshards (fun i ->
-        let heap =
-          (* A caller-owned heap is cleared and refilled: the pop order
-             is a strict total order on (key, payload), so reuse changes
-             no pick and no statistic — it only skips the allocation. *)
-          match heap with
-          | Some h when i = 0 ->
-              Combin.Heap.Int_max.clear h;
-              h
-          | _ -> Combin.Heap.Int_max.create ()
-        in
-        {
-          heap;
-          lo = i * n / nshards;
-          hi = (i + 1) * n / nshards;
-          filled = false;
-          held = -1;
-          held_pr = 0;
-          s_evals = 0;
-          s_pops = 0;
-          s_stale = 0;
-        })
-  in
-  let round pending sh =
-    (* A held local best that lost the previous global reduce re-enters
-       with its (still valid) refreshed bound. *)
-    if sh.held >= 0 && sh.held <> pending then
-      Combin.Heap.Int_max.push sh.heap ~key:(packed sh.held_pr sh.held_pr)
-        sh.held;
-    sh.held <- -1;
-    if not sh.filled then begin
-      (* Deferred initial fill: the O(units·load) bound pass is the bulk
-         of a greedy run, so it rides the first parallel round. *)
-      sh.filled <- true;
-      for u = sh.lo to sh.hi - 1 do
-        if not (chosen u) then begin
-          let _, pr = marginal u in
-          sh.s_evals <- sh.s_evals + 1;
-          Combin.Heap.Int_max.push sh.heap ~key:(packed pr pr) u
-        end
-      done
-    end;
-    let best_key, best_id, best_pr, e, p, st =
-      round_scan ~marginal sh.heap ~packed
-    in
-    sh.s_evals <- sh.s_evals + e;
-    sh.s_pops <- sh.s_pops + p;
-    sh.s_stale <- sh.s_stale + st;
-    if best_id >= 0 then begin
-      sh.held <- best_id;
-      sh.held_pr <- best_pr
-    end;
-    (best_key, best_id)
-  in
-  let out = Array.make picks 0 in
-  let pending = ref (-1) in
-  for pick = 0 to picks - 1 do
-    (* The previous winner's damage lands once, here, on the calling
-       domain: the in-flight round then only reads the counter state. *)
-    if !pending >= 0 then apply !pending;
-    let results = pmap pool (round !pending) shards in
-    (* Reduce: greatest exact value, ties to the lowest unit id. *)
-    let bk = ref (-1) and bid = ref (-1) in
+  else begin
+    let counts = Array.make t.b 0 in
+    let dead = ref 0 in
     Array.iter
-      (fun (key, id) ->
-        if id >= 0 && (key > !bk || (key = !bk && id < !bid)) then begin
-          bk := key;
-          bid := id
-        end)
-      results;
-    out.(pick) <- !bid;
-    pending := !bid
-  done;
-  if !pending >= 0 then apply !pending;
-  let evals = ref 0 and pops = ref 0 and stale = ref 0 in
-  Array.iter
-    (fun sh ->
-      evals := !evals + sh.s_evals;
-      pops := !pops + sh.s_pops;
-      stale := !stale + sh.s_stale)
-    shards;
-  (out, { evals = !evals; heap_pops = !pops; stale_reevals = !stale })
+      (fun u ->
+        Combin.Csr.iter_row t.csr u (fun obj ->
+            let h = counts.(obj) + 1 in
+            counts.(obj) <- h;
+            if h = t.s then incr dead))
+      set;
+    !dead
+  end
 
-let select_greedy ?pool ?heap ?shards t ~picks =
+(* ------------------------------------------------------------------ *)
+(* Exact-score greedy selection, shared by {!select_greedy} and
+   {!Dyn.worst_case}.
+
+   The objective is the pair (newly, progress), lexicographic, ties to
+   the lowest unit id.  Each unit's pair is kept exact, packed into one
+   int P = newly·base + progress, so pair order = int order provided
+   base exceeds every reachable progress value.  Both components count
+   *occurrences* in the unit's row, so on a group kernel (fault domains
+   holding up to r replicas per object) they range up to the row
+   length, which can exceed b (2 datacenters with r = 3 give degree
+   ≈ 1.5·b); hence base = 1 + the largest row length, never b+1.
+
+   An occurrence of an object with h hits contributes
+   f(h) = [h+1 = s]·base + [h < s].  When a pick raises an object from
+   h-1 to h hits, every host occurrence of that object changes by
+   f(h) − f(h-1): +base at h = s-1 (it turns newly), −(base+1) at h = s
+   (it leaves both components), 0 otherwise.  A pick therefore patches
+   only the hosts of the objects it brings to s-1 or s hits, and each
+   selection is one linear argmax over the unchosen units. *)
+
+(* Inlined: it runs once per row entry of every pick. *)
+let[@inline] score_delta ~s ~base h =
+  if h = s - 1 then base else if h = s then -(base + 1) else 0
+
+(* The unchosen unit with the greatest score, ties to the lowest id.
+   Scores of unchosen units are exact, hence >= 0; at least one unit
+   must be unchosen. *)
+let argmax score chosen =
+  let best = ref (-1) and best_key = ref (-1) in
+  for u = 0 to Array.length score - 1 do
+    let key = Array.unsafe_get score u in
+    if key > !best_key && Bytes.unsafe_get chosen u = '\000' then begin
+      best := u;
+      best_key := key
+    end
+  done;
+  !best
+
+(* Seeded from [marginal], so the greedy extends whatever failure set
+   the kernel holds (the B&B probes start mid-search); each pick is
+   applied to the kernel's own counters exactly as {!add} would. *)
+let select_greedy t ~picks =
   let n = units t in
   if picks > n - Combin.Bitset.count t.failed then
     invalid_arg "Kernel.select_greedy: more picks than unchosen units";
-  let shards =
-    match shards with Some s -> max 1 s | None -> default_shards n
-  in
-  celf ~pool ~heap ~shards ~units:n
-    ~base:(1 + Combin.Csr.max_degree t.csr)
-    ~marginal:(marginal t) ~apply:(add t)
-    ~chosen:(Combin.Bitset.mem t.failed) ~picks
+  let s = t.s and base = 1 + Combin.Csr.max_degree t.csr in
+  let score = Array.make n 0 and chosen = Bytes.make n '\000' in
+  let work = ref 0 in
+  for u = 0 to n - 1 do
+    if Combin.Bitset.mem t.failed u then Bytes.unsafe_set chosen u '\001'
+    else begin
+      let newly, progress = marginal t u in
+      score.(u) <- (newly * base) + progress;
+      incr work
+    end
+  done;
+  let hits = t.hits and hosts = t.hosts and unit_of = t.unit_of in
+  let row = t.csr.Combin.Csr.row_ptr and ents = t.csr.Combin.Csr.entries in
+  let out = Array.make picks 0 in
+  for pick = 0 to picks - 1 do
+    let u = argmax score chosen in
+    out.(pick) <- u;
+    Bytes.unsafe_set chosen u '\001';
+    Combin.Bitset.add t.failed u;
+    t.updates <- t.updates + 1;
+    for i = Bigarray.Array1.unsafe_get row u
+        to Bigarray.Array1.unsafe_get row (u + 1) - 1 do
+      let obj = Bigarray.Array1.unsafe_get ents i in
+      let h = Bigarray.Array1.unsafe_get hits obj + 1 in
+      Bigarray.Array1.unsafe_set hits obj h;
+      if h = s then t.killed <- t.killed + 1;
+      let delta = score_delta ~s ~base h in
+      if delta <> 0 then begin
+        let hs = Array.unsafe_get hosts obj in
+        for j = 0 to Array.length hs - 1 do
+          let v = Array.unsafe_get unit_of (Array.unsafe_get hs j) in
+          if v >= 0 then
+            Array.unsafe_set score v (Array.unsafe_get score v + delta)
+        done;
+        work := !work + Array.length hs
+      end
+    done
+  done;
+  (out, !work)
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic kernel: the object population itself churns. *)
@@ -444,12 +282,9 @@ module Dyn = struct
      slot moves into a freed one (callers track the move via
      {!remove_object}'s return), so the hits plane never fragments.
 
-     Worst case: {!worst_case} applies [select_greedy]'s rule (exact
-     (newly, progress), ties to the lowest id) without CELF, whose
-     progress bound counts every live replica as a kill and so, for
-     s ≥ 2, prunes almost nothing: a full rescan per pick.  It keeps
-     every unit's pair exact instead, patching per pick only the hosts
-     of the objects that pick brings to s-1 or s hits. *)
+     Worst case: {!worst_case} runs [select_greedy]'s exact-score
+     greedy (same argmax, same score deltas) over the live rows, on a
+     scratch plane so the live failure state is left untouched. *)
 
   type nonrec t = {
     s : int;
@@ -695,7 +530,7 @@ module Dyn = struct
   let worst_case t ~k =
     if k < 0 || k > t.units then
       invalid_arg "Kernel.Dyn.worst_case: more picks than units";
-    (* Exact scores packed as in round_scan: base exceeds every row
+    (* Exact scores packed as in select_greedy: base exceeds every row
        length, so int order is (newly, progress) order.  All-up, every
        row entry is progress, and newly only when one hit kills. *)
     let s = t.s and base = 1 + t.max_degree in
@@ -707,28 +542,15 @@ module Dyn = struct
     let picks = Array.make k 0 in
     let dead = ref 0 and updates = ref 0 in
     for pick = 0 to k - 1 do
-      (* Argmax over the unchosen units, ties to the lowest id. *)
-      let best = ref (-1) and best_key = ref (-1) in
-      for u = 0 to t.units - 1 do
-        let key = Array.unsafe_get score u in
-        if key > !best_key && Bytes.unsafe_get chosen u = '\000' then begin
-          best := u;
-          best_key := key
-        end
-      done;
-      let u = !best in
+      let u = argmax score chosen in
       picks.(pick) <- u;
       Bytes.unsafe_set chosen u '\001';
-      (* An entry whose hit count reaches s-1 becomes newly for all its
-         hosts; one that reaches s leaves both components. *)
       let row = t.rows.(u) in
       for i = 0 to t.row_len.(u) - 1 do
         let slot = Array.unsafe_get row i in
         let h = plane.{slot} + 1 in
         plane.{slot} <- h;
-        let delta =
-          if h = s - 1 then base else if h = s then -(base + 1) else 0
-        in
+        let delta = score_delta ~s ~base h in
         if delta <> 0 then begin
           if h = s then incr dead;
           let hosts = t.obj_units.(slot) in

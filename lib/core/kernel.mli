@@ -5,24 +5,24 @@
     scratch per candidate set (an O(b·r) pass over every replica list),
     the kernel keeps per-object hit counters and a running dead-object
     tally, updated in O(load(u)) when unit [u] enters or leaves the
-    failure set — the marginal-gain structure that copyset-style
-    analyses and CELF lazy-greedy selection exploit.
+    failure set — the marginal-gain structure the greedy adversary and
+    the branch-and-bound search exploit.
 
     Storage is web-scale flat (DESIGN.md §11): the unit → replicas
     incidence is one {!Combin.Csr.t} — two off-heap [Bigarray] planes
     shared untouched by every {!copy} — and the per-object counters are
     a [Bigarray] int16 plane, so a branch copy is a single blit with no
-    per-object boxing at n ~ 10^4 nodes, b ~ 10^6 objects.
+    per-object boxing at n ~ 10^4 nodes, b ~ 10^6 objects.  The greedy's
+    object → units index is the layout's own replica table (read through
+    a node → domain map for domain kernels), so it costs no transpose.
 
-    A kernel is built once per {!Layout.t} (over nodes, from the
-    memoized {!Layout.incidence} CSR) or once per domain level (over
-    fault domains, via {!of_groups} or {!of_csr}); {!copy} then yields
-    independent search states sharing the immutable incidence, so
-    parallel branch-and-bound branches each thread their own counters
-    down and up the search tree.  Alongside the counters the node path
-    lazily derives one {!Combin.Bitset} per object (the units hosting
-    its replicas), giving {!check} a popcount-threshold evaluation of
-    arbitrary failure sets without touching the counter state.
+    A kernel is built once per {!Layout.t}, over its nodes or over a
+    partition of them into fault domains ({!make}), or over arbitrary
+    groups ({!of_groups}); {!copy} then yields independent search states
+    sharing the immutable incidence, so parallel branch-and-bound
+    branches each thread their own counters down and up the search
+    tree.  Every index is built eagerly: copies are used from several
+    domains at once.
 
     Kernels are single-domain mutable state; share only via {!copy}.
     All counts are exact, so every algorithm rebuilt on the kernel is
@@ -30,20 +30,21 @@
 
 type t
 
-val make : Layout.t -> s:int -> t
-(** Attack units are the layout's nodes.  Shares the layout's memoized
-    {!Layout.incidence} CSR; O(b) fresh counter state. *)
+val make : ?domains:int array array -> Layout.t -> s:int -> t
+(** Attack units are the layout's nodes, or with [domains] the given
+    disjoint node sets ([domains.(d)] lists the member nodes of unit
+    [d]; a domain holding several replicas of an object counts each).
+    Shares the layout's memoized {!Layout.incidence} CSR (regrouped per
+    domain with {!Combin.Csr.group}) and its replica table; O(b) fresh
+    counter state plus one node → unit array.
+    @raise Invalid_argument on a member out of range or a node listed
+    in two domains. *)
 
 val of_groups : s:int -> b:int -> int array array -> t
 (** Attack units are arbitrary groups: [groups.(u)] lists one entry per
     replica hosted inside unit [u] (entries may repeat when a unit holds
-    several replicas of the same object — e.g. fault domains).  Packs
-    the groups into a private CSR; prefer {!of_csr} when the caller
-    already holds one (e.g. {!Combin.Csr.group}). *)
-
-val of_csr : s:int -> Combin.Csr.t -> t
-(** Attack units are the CSR's rows, objects its column space.  The CSR
-    is shared, not copied — treat it as immutable afterwards. *)
+    several replicas of the same object).  Packs the groups into a
+    private CSR and transposes them into the object → units index. *)
 
 val csr : t -> Combin.Csr.t
 (** The shared incidence (unit → replica entries). *)
@@ -86,62 +87,24 @@ val marginal : t -> int -> int * int
     objective pair, compared lexicographically. *)
 
 val check : t -> int array -> int
-(** One-shot: objects killed by the given unit set (sorted, distinct).
-    Uses the per-object incidence bitsets when the incidence is
-    multiplicity-free — built lazily on the first [check], so
-    greedy/B&B-only callers never pay for them — and a scratch counter
-    pass otherwise; either way equals {!Layout.failed_objects} on the
-    node kernel.  Never reads the counter state. *)
+(** One-shot: objects killed by the given unit set (sorted, distinct),
+    by one O(b) scratch counter pass over the set's rows; equals
+    {!Layout.failed_objects} on a node kernel.  Never reads the counter
+    state. *)
 
-val check_scratch : t -> int array -> int
-(** {!check} forced down the scratch-counter path (one O(b) counting
-    pass over the set's CSR rows), bypassing the bitset cache.  Always
-    equal to {!check}; exposed as the property-test oracle for the
-    bitset path. *)
+val select_greedy : t -> picks:int -> int array * int
+(** Greedy: pick [picks] units one at a time, each maximizing
+    [(newly, progress)] with ties to the lowest unit id — the picks of
+    a full rescan per pick.  Extends the kernel's current failure set
+    (its units are never picked) and ends with the picks applied; the
+    returned array is in pick order, with the work done: one seed
+    {!marginal} per unchosen unit plus one score update per host entry
+    patched.
 
-type greedy_stats = {
-  evals : int;  (** marginal recomputations *)
-  heap_pops : int;  (** candidate pops from the CELF heap *)
-  stale_reevals : int;
-      (** pops whose cached bound had decayed since it was pushed *)
-}
-
-val default_shards : int -> int
-(** The CELF shard count for a unit count: one shard per ~512 units
-    (so one below 1024 units), at most 64. *)
-
-val select_greedy :
-  ?pool:Engine.Pool.t ->
-  ?heap:Combin.Heap.Int_max.t ->
-  ?shards:int ->
-  t ->
-  picks:int ->
-  int array * greedy_stats
-(** CELF lazy-greedy: pick [picks] units one at a time, each maximizing
-    [(newly, progress)] with ties to the lowest unit id — the same
-    picks as a full rescan per pick (the pre-kernel greedy).
-    Candidates live in {!Combin.Heap.Int_max}s keyed by a monotone
-    upper bound (the progress component, which never grows as the
-    failure set does), one heap per contiguous shard of unit ids; per
-    pick every shard re-evaluates its popped candidates exactly until
-    no remaining bound can beat or tie its best (DESIGN.md §10), in
-    parallel over [pool] when there are several shards, and the reduce
-    takes the greatest value with ties to the lowest unit id.  Per-round
-    loser re-pushes are batched through {!Combin.Heap.Int_max.push_many}.
-
-    Determinism contract (DESIGN.md §11): the picks do not depend on
-    the shard count or the pool; the statistics are a function of the
-    shard count; and the shard count defaults to a pure function of
-    the unit count (one shard below 1024 units), never of the pool — so
-    picks and statistics are identical at any [pool] size.  Pass
-    [shards] explicitly only in tests and benches.
-
-    The kernel ends with the picks applied; the returned array is in
-    pick order.  [heap] lets a repeated caller (the B&B frontier's
-    greedy-completion probes, {!Bb}) supply a long-lived heap for the
-    first shard that is {!Combin.Heap.Int_max.clear}ed and reused
-    instead of allocated per call; the pop order is a strict total
-    order, so reuse changes no pick and no statistic.
+    Every unchosen unit's pair is kept exact, packed into one int; a
+    pick patches only the hosts of the objects it brings to s-1 or s
+    hits, so a call costs one {!marginal} per unit plus picks·units
+    compares and picks·load·r updates (DESIGN.md §10).
     @raise Invalid_argument if [picks] exceeds the unchosen units. *)
 
 val updates : t -> int
@@ -244,15 +207,14 @@ module Dyn : sig
       from all-up on a scratch counter plane (the live failure state is
       left untouched and does not bias the adversary): returns the k
       picks in order, the objects they kill, and the number of score
-      updates it made.  Each pick maximizes the exact
-      [(newly, progress)] pair with ties to the lowest unit id — the
-      rule of {!select_greedy} — so the picks and kills equal
+      updates it made.  The greedy of {!select_greedy}, sharing its
+      argmax and score updates, so the picks and kills equal
       {!select_greedy}'s on a freshly built flat kernel over the same
-      live objects.  Unlike CELF it keeps every unit's pair exact: the
-      scores start from the row lengths, and each pick patches the
-      scores of the hosts of every object it brings to s-1 or s hits
-      (one update per host), so a query costs k·units compares plus
-      k·load·r updates and allocates only its picks.  Its scratch
+      live objects: the scores start from the row lengths, and each
+      pick patches the scores of the hosts of every object it brings
+      to s-1 or s hits (one update per host), so a query costs
+      k·units compares plus k·load·r updates and allocates only its
+      picks.  Its scratch
       state lives in [t]: like every other operation here, one query at
       a time per [t] (DESIGN.md §12).
       @raise Invalid_argument when [k] exceeds the unit count. *)

@@ -133,15 +133,17 @@ val advise_create : t -> int array
 
 val rescore : ?k:int -> t -> rescore
 (** Re-run the worst-case adversary on the current population without
-    rebuilding: CELF lazy-greedy over the dynamic kernel, attacking
-    from all-up.  [k] (default: the configured budget) is the attack
-    size — online queries may probe any k.  Picks and scan stats are
-    bit-identical to {!Placement.Kernel.select_greedy} on a freshly
-    built kernel over {!layout}. *)
+    rebuilding: {!Placement.Kernel.Dyn.worst_case}, the exact-score
+    greedy over the dynamic kernel, attacking from all-up.  [k]
+    (default: the configured budget) is the attack size — online
+    queries may probe any k.  Picks and damage are bit-identical to
+    {!Placement.Kernel.select_greedy} on a freshly built kernel over
+    {!layout}. *)
 
 val check : t -> unit
 (** The incremental ≡ from-scratch oracle: recounts the dynamic
     kernel's hit plane, re-checks the adaptive invariants, and compares
-    availability, adversary picks and scan stats against a fresh flat
-    {!Placement.Kernel} built from {!layout}.  [Failure] on any
-    divergence.  O(b·r + greedy) — test-suite and gate hook. *)
+    availability against a fresh flat {!Placement.Kernel} built from
+    {!layout}, and the adversary's picks and damage against a full
+    rescan of {!Placement.Kernel.marginal} on it.  [Failure] on any
+    divergence.  O(b·r + k·n·load) — test-suite and gate hook. *)

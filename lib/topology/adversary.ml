@@ -15,19 +15,15 @@ type attack = {
 let m = Placement.Adversary.metrics "topology/adversary"
 let m_attack_span = Telemetry.Registry.span "topology/adversary/attack"
 
-(* Attack units are same-level fault domains: row [d] of the domain CSR
-   lists one entry per replica hosted inside domain [d] (same-level
-   domains are disjoint node sets, so failing domain [d] fails each
-   entry once).  The rows are regrouped off-heap from the layout's
-   memoized node CSR ({!Combin.Csr.group}) — no boxed per-domain
-   intermediate; domains may hold several replicas of one object, so
-   the kernel keeps multiplicities. *)
+(* Attack units are same-level fault domains, which are disjoint node
+   sets: the kernel regroups the layout's node rows per domain and keeps
+   multiplicities, since a domain may hold several replicas of one
+   object. *)
 let kernel_of layout tree ~level ~s =
   let members =
     Array.init (Tree.domain_count tree ~level) (Tree.members tree ~level)
   in
-  Placement.Kernel.of_csr ~s
-    (Combin.Csr.group (Placement.Layout.incidence layout) members)
+  Placement.Kernel.make ~domains:members layout ~s
 
 let check layout tree ~level ~j =
   if layout.Placement.Layout.n <> Tree.n tree then
@@ -52,11 +48,10 @@ let eval layout ~s tree ~level domains =
   Placement.Layout.failed_objects layout ~s
     ~failed_nodes:(Failset.nodes tree ~level domains)
 
-let greedy ?pool layout ~s tree ~level ~j =
+let greedy layout ~s tree ~level ~j =
   check layout tree ~level ~j;
   of_search tree ~level
-    (Placement.Adversary.search_greedy ?pool m (kernel_of layout tree ~level ~s)
-       ~k:j)
+    (Placement.Adversary.search_greedy m (kernel_of layout tree ~level ~s) ~k:j)
 
 let exact ?budget ?spawn_depth ?pool layout ~s tree ~level ~j =
   check layout tree ~level ~j;

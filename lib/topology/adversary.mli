@@ -24,20 +24,19 @@ type attack = {
 
 val kernel_of :
   Placement.Layout.t -> Tree.t -> level:int -> s:int -> Placement.Kernel.t
-(** The all-up attack kernel whose units are the domains at [level]:
-    row [d] holds one entry per replica inside domain [d]. *)
+(** The all-up attack kernel whose units are the domains at [level]
+    ({!Placement.Kernel.make} with [~domains]): row [d] holds one entry
+    per replica inside domain [d]. *)
 
 val eval :
   Placement.Layout.t -> s:int -> Tree.t -> level:int -> int array -> int
 (** Objects killed by failing the given domains. *)
 
 val greedy :
-  ?pool:Engine.Pool.t ->
   Placement.Layout.t -> s:int -> Tree.t -> level:int -> j:int -> attack
-(** Pick domains one at a time by marginal damage ([exact = false]).
-    Runs sharded CELF over the domain kernel
-    ({!Placement.Kernel.select_greedy}); picks and statistics are
-    bit-identical at any [pool] size. *)
+(** Pick domains one at a time by marginal damage ([exact = false]):
+    the exact-score greedy over the domain kernel
+    ({!Placement.Kernel.select_greedy}). *)
 
 val exact :
   ?budget:int ->

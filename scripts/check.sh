@@ -3,7 +3,8 @@
 # correctness smoke (each of the four workloads run for one second with
 # tracing on: no Rejected responses, Churn.check after each pass, traced
 # responses identical to untraced ones, exact attacks untruncated and
-# never below greedy), then the CLI gates: a telemetry smoke (--metrics
+# never below greedy) and one 10 s attack run held to its pinned
+# response digest, then the CLI gates: a telemetry smoke (--metrics
 # must carry the placement/v1 envelope and the B&B statistics), the
 # exact-attack -j1 ≡ -j4 diff and the frontier counters, a topology
 # smoke (rack adversary vs node adversary sanity inequality), a churn
@@ -35,6 +36,14 @@ for workload in ingest outage worst_query attack; do
     --seconds 1 --trace ||
     { echo "check.sh: profbench $workload reported a correctness failure" >&2; exit 1; }
 done
+
+# Greedy picks at scale: the 1 s runs above skip the pinned digest, so
+# one attack run at the pinned seed and length (greedy k=16 on n=10^4,
+# b=10^6, plus the exact and domain searches) must reproduce its
+# pinned response digest; profbench exits non-zero when it moves.
+dune exec --root . ./profbench/main.exe -- profile attack --seed 1 \
+  --seconds 10 ||
+  { echo "check.sh: profbench attack at the pinned seed diverged from its pinned digest" >&2; exit 1; }
 
 metrics=$(dune exec bin/placement_tool.exe -- attack --strategy combo \
   -n 31 -b 600 -r 3 -s 2 -k 3 --metrics -)

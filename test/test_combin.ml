@@ -323,105 +323,6 @@ let test_heap_interleaved () =
   Alcotest.(check int) "size" 2 (Combin.Heap.size h);
   Alcotest.(check bool) "not empty" false (Combin.Heap.is_empty h)
 
-let test_int_max_heap_order =
-  qtest "Int_max pops key-desc, ties payload-asc"
-    QCheck2.Gen.(list_size (int_range 0 200) (pair (int_range 0 20) (int_range 0 50)))
-    (fun entries ->
-      let h = Combin.Heap.Int_max.create () in
-      List.iter (fun (key, p) -> Combin.Heap.Int_max.push h ~key p) entries;
-      let rec drain prev acc =
-        match Combin.Heap.Int_max.pop h with
-        | None -> List.rev acc
-        | Some ((key, p) as e) ->
-            (match prev with
-            | Some (pk, pp) when key > pk || (key = pk && p < pp) -> raise Exit
-            | _ -> ());
-            drain (Some e) (e :: acc)
-      in
-      match drain None [] with
-      | drained ->
-          List.length drained = List.length entries
-          && List.sort compare (List.map (fun (k, p) -> (k, p)) entries)
-             = List.sort compare drained
-      | exception Exit -> false)
-
-let test_int_max_heap_peek () =
-  let h = Combin.Heap.Int_max.create () in
-  Alcotest.(check bool) "empty" true (Combin.Heap.Int_max.is_empty h);
-  Combin.Heap.Int_max.push h ~key:3 10;
-  Combin.Heap.Int_max.push h ~key:7 20;
-  Combin.Heap.Int_max.push h ~key:7 5;
-  Alcotest.(check (option (pair int int))) "peek max, low payload"
-    (Some (7, 5)) (Combin.Heap.Int_max.peek h);
-  Alcotest.(check (option (pair int int))) "pop" (Some (7, 5))
-    (Combin.Heap.Int_max.pop h);
-  Alcotest.(check (option (pair int int))) "then high payload" (Some (7, 20))
-    (Combin.Heap.Int_max.pop h);
-  Alcotest.(check int) "size" 1 (Combin.Heap.Int_max.size h)
-
-let test_int_max_push_many =
-  (* Heap order is a strict total order, so a batch insert must yield
-     the exact pop sequence of one-at-a-time pushes — the property the
-     CELF loser re-push relies on. *)
-  qtest "push_many pops identically to repeated push"
-    QCheck2.Gen.(
-      pair
-        (list_size (int_range 0 60) (pair (int_range 0 15) (int_range 0 40)))
-        (list_size (int_range 0 60) (pair (int_range 0 15) (int_range 0 40))))
-    (fun (pre, batch) ->
-      let one = Combin.Heap.Int_max.create () in
-      let many = Combin.Heap.Int_max.create () in
-      List.iter
-        (fun (key, p) ->
-          Combin.Heap.Int_max.push one ~key p;
-          Combin.Heap.Int_max.push many ~key p)
-        pre;
-      List.iter (fun (key, p) -> Combin.Heap.Int_max.push one ~key p) batch;
-      let keys = Array.of_list (List.map fst batch) in
-      let payloads = Array.of_list (List.map snd batch) in
-      Combin.Heap.Int_max.push_many many ~keys ~payloads
-        ~count:(Array.length keys);
-      let drain h =
-        let rec go acc =
-          match Combin.Heap.Int_max.pop h with
-          | None -> List.rev acc
-          | Some e -> go (e :: acc)
-        in
-        go []
-      in
-      drain one = drain many)
-
-let test_int_max_clear =
-  (* clear + refill must behave exactly like a fresh heap — the reuse
-     path the frontier's per-worker greedy-completion probes sit on. *)
-  qtest "clear then refill = fresh heap"
-    QCheck2.Gen.(
-      pair
-        (list_size (int_range 0 80) (pair (int_range 0 15) (int_range 0 40)))
-        (list_size (int_range 0 80) (pair (int_range 0 15) (int_range 0 40))))
-    (fun (first, second) ->
-      let reused = Combin.Heap.Int_max.create () in
-      List.iter (fun (key, p) -> Combin.Heap.Int_max.push reused ~key p) first;
-      Combin.Heap.Int_max.clear reused;
-      if not (Combin.Heap.Int_max.is_empty reused) then false
-      else begin
-        let fresh = Combin.Heap.Int_max.create () in
-        List.iter
-          (fun (key, p) ->
-            Combin.Heap.Int_max.push reused ~key p;
-            Combin.Heap.Int_max.push fresh ~key p)
-          second;
-        let drain h =
-          let rec go acc =
-            match Combin.Heap.Int_max.pop h with
-            | None -> List.rev acc
-            | Some e -> go (e :: acc)
-          in
-          go []
-        in
-        drain reused = drain fresh
-      end)
-
 (* ------------------------------------------------------------------ *)
 (* Csr *)
 
@@ -661,10 +562,6 @@ let () =
         [
           test_heap_sorts;
           Alcotest.test_case "interleaved ops" `Quick test_heap_interleaved;
-          test_int_max_heap_order;
-          Alcotest.test_case "int_max peek/pop" `Quick test_int_max_heap_peek;
-          test_int_max_push_many;
-          test_int_max_clear;
         ] );
       ( "csr",
         [

@@ -782,8 +782,8 @@ let scan_greedy layout ~s ~k =
       Array.iter (fun obj -> hits.(obj) <- hits.(obj) + 1) node_objs.(!best);
       !best)
 
-let test_kernel_lazy_greedy_identical =
-  qtest ~count:60 "CELF lazy-greedy = full-rescan greedy, pick by pick"
+let test_kernel_greedy_identical =
+  qtest ~count:60 "select_greedy = full-rescan greedy, pick by pick"
     QCheck2.Gen.(triple layout_gen (int_range 1 4) (int_range 1 6))
     (fun (layout, s, k) ->
       let s = min s layout.Placement.Layout.r in
@@ -796,8 +796,8 @@ let test_kernel_lazy_greedy_identical =
    domains than r, so a domain holds several replicas of each object and
    its (newly, progress) counts range up to its degree ≈ r·b/domains — in
    particular past b.  Regression for the packed-objective base: with
-   base b+1, packed(1, 0) = packed(0, b+1), and the lazy-greedy could
-   prefer a domain with large progress over one that actually kills an
+   base b+1, packed(1, 0) = packed(0, b+1), and the greedy could prefer
+   a domain with large progress over one that actually kills an
    object.  The reference is the pre-kernel full rescan over domains. *)
 let scan_greedy_groups ~s ~b groups ~picks =
   let nu = Array.length groups in
@@ -868,6 +868,67 @@ let test_kernel_group_greedy_identical =
          = Placement.Kernel.check (Placement.Kernel.of_groups ~s ~b groups)
              (Combin.Intset.of_array kernel_picks))
 
+(* Full-rescan greedy through the flat kernel's own [marginal]: every
+   pick re-scores every unit outside the kernel's failure set,
+   (newly, progress) lex with lowest-id ties, and fails the winner in
+   [kn] — so afterwards [Kernel.killed kn] is the damage.  The naive
+   reference for select_greedy and Dyn.worst_case, independent of their
+   score updates. *)
+let rescan_greedy kn ~picks =
+  let n = Placement.Kernel.units kn in
+  let chosen = Array.make n false in
+  Array.iter (fun u -> chosen.(u) <- true) (Placement.Kernel.failed_units kn);
+  Array.init picks (fun _ ->
+      let best = ref (-1) and best_pair = ref (-1, -1) in
+      for u = 0 to n - 1 do
+        if not chosen.(u) then begin
+          let pair = Placement.Kernel.marginal kn u in
+          if compare pair !best_pair > 0 then begin
+            best := u;
+            best_pair := pair
+          end
+        end
+      done;
+      chosen.(!best) <- true;
+      Placement.Kernel.add kn !best;
+      !best)
+
+(* The B&B probes run select_greedy mid-search: after a random prefix
+   of adds, the greedy must match a full rescan from that same state —
+   on the node kernel and on a domain kernel ([make ~domains]) with
+   fewer domains than r, so a domain holds several replicas of an
+   object and its score counts each. *)
+let test_kernel_greedy_from_prefix =
+  qtest ~count:80 "select_greedy from a failure prefix = rescan"
+    QCheck2.Gen.(triple layout_gen (int_range 1 4) (int_range 0 10000))
+    (fun (layout, s, seed) ->
+      let n = layout.Placement.Layout.n and r = layout.Placement.Layout.r in
+      let s = min s r in
+      let rng = Combin.Rng.create seed in
+      let ndomains = 1 + Combin.Rng.int rng (r - 1) in
+      let domain = Array.init n (fun _ -> Combin.Rng.int rng ndomains) in
+      let members =
+        Array.init ndomains (fun d ->
+            Array.of_list
+              (List.filter (fun nd -> domain.(nd) = d) (List.init n Fun.id)))
+      in
+      let agrees kn =
+        let units = Placement.Kernel.units kn in
+        let prefix = Combin.Rng.int rng units in
+        Array.iter (Placement.Kernel.add kn)
+          (Combin.Rng.sample_distinct rng ~n:units ~k:prefix);
+        let picks = 1 + Combin.Rng.int rng (units - prefix) in
+        let greedy = Placement.Kernel.copy kn
+        and rescan = Placement.Kernel.copy kn in
+        let greedy_picks, _ = Placement.Kernel.select_greedy greedy ~picks in
+        greedy_picks = rescan_greedy rescan ~picks
+        && Placement.Kernel.killed greedy = Placement.Kernel.killed rescan
+        && Placement.Kernel.failed_units greedy
+           = Placement.Kernel.failed_units rescan
+      in
+      agrees (Placement.Kernel.make layout ~s)
+      && agrees (Placement.Kernel.make ~domains:members layout ~s))
+
 (* Arbitrary multiplicity groups, no layout behind them: [domains]
    units each holding a bag of object ids in [0, b), duplicates
    allowed. *)
@@ -910,61 +971,6 @@ let test_kernel_group_churn =
         if Placement.Kernel.killed kn <> !killed then ok := false
       done;
       !ok)
-
-let test_kernel_check_bitset_vs_scratch =
-  (* [check] takes the per-object bitset path on multiplicity-free
-     incidences and falls back to the scratch counters otherwise; both
-     flavours must agree with [check_scratch] on every unit set. *)
-  qtest ~count:80 "check = check_scratch on both incidence flavours"
-    QCheck2.Gen.(
-      let* layout = layout_gen in
-      let* s = int_range 1 layout.Placement.Layout.r in
-      let* seed = int_range 0 10000 in
-      return (layout, s, seed))
-    (fun (layout, s, seed) ->
-      let n = layout.Placement.Layout.n in
-      let rng = Combin.Rng.create seed in
-      let subset () =
-        Combin.Intset.of_array
-          (Array.of_list
-             (List.filter
-                (fun _ -> Combin.Rng.int rng 3 = 0)
-                (List.init n Fun.id)))
-      in
-      let kn = Placement.Kernel.make layout ~s in
-      let node_objs = Placement.Layout.node_objects layout in
-      (* Duplicated rows force multiplicity, hence the scratch path. *)
-      let groups = Array.init n (fun u -> Array.append node_objs.(u) node_objs.(u)) in
-      let gn = Placement.Kernel.of_groups ~s ~b:(Placement.Layout.b layout) groups in
-      let ok = ref true in
-      for _ = 1 to 8 do
-        let set = subset () in
-        if Placement.Kernel.check kn set <> Placement.Kernel.check_scratch kn set
-        then ok := false;
-        if Placement.Kernel.check gn set <> Placement.Kernel.check_scratch gn set
-        then ok := false
-      done;
-      !ok)
-
-let test_kernel_sharded_identical =
-  (* Forcing shards > 1 on instances far below the automatic sharding
-     threshold: the picks (and hence final killed) must not depend on
-     the shard count. *)
-  qtest ~count:60 "select_greedy picks independent of shard count"
-    QCheck2.Gen.(
-      let* layout = layout_gen in
-      let* s = int_range 1 layout.Placement.Layout.r in
-      let* shards = int_range 2 5 in
-      let* picks = int_range 1 4 in
-      return (layout, s, shards, picks))
-    (fun (layout, s, shards, picks) ->
-      let picks = min picks layout.Placement.Layout.n in
-      let seq = Placement.Kernel.make layout ~s in
-      let sh = Placement.Kernel.make layout ~s in
-      let seq_picks, _ = Placement.Kernel.select_greedy ~shards:1 seq ~picks in
-      let sh_picks, _ = Placement.Kernel.select_greedy ~shards sh ~picks in
-      seq_picks = sh_picks
-      && Placement.Kernel.killed seq = Placement.Kernel.killed sh)
 
 (* The misordering pinned exactly: b = 3, s = 2.  Unit 0 wins pick 1 on
    progress (degree 8) and leaves object 1 one hit short of s.  At pick
@@ -1012,41 +1018,18 @@ let test_kernel_double_add () =
 (* ------------------------------------------------------------------ *)
 (* Dynamic kernel (Kernel.Dyn): object churn *)
 
-(* Full-rescan greedy through the flat kernel's own [marginal]: every
-   pick re-scores every unchosen unit, (newly, progress) lex with
-   lowest-id ties, and fails the winner in [kn] — so afterwards
-   [Kernel.killed kn] is the damage.  The naive reference for
-   Dyn.worst_case, independent of both its score updates and CELF. *)
-let rescan_greedy kn ~picks =
-  let n = Placement.Kernel.units kn in
-  let chosen = Array.make n false in
-  Array.init picks (fun _ ->
-      let best = ref (-1) and best_pair = ref (-1, -1) in
-      for u = 0 to n - 1 do
-        if not chosen.(u) then begin
-          let pair = Placement.Kernel.marginal kn u in
-          if compare pair !best_pair > 0 then begin
-            best := u;
-            best_pair := pair
-          end
-        end
-      done;
-      chosen.(!best) <- true;
-      Placement.Kernel.add kn !best;
-      !best)
-
 (* Dyn.worst_case against both references on a frozen, reset copy of
-   the live objects: CELF (select_greedy) and the full rescan must
-   agree with it on picks and damage. *)
+   the live objects: select_greedy and the full rescan must agree with
+   it on picks and damage. *)
 let dyn_worst_case_agrees dyn ~k =
   let picks, dead, _ = Placement.Kernel.Dyn.worst_case dyn ~k in
   let frozen = Placement.Kernel.Dyn.freeze dyn in
   Placement.Kernel.reset frozen;
-  let celf, _ = Placement.Kernel.select_greedy frozen ~picks:k in
-  let celf_dead = Placement.Kernel.killed frozen in
+  let greedy, _ = Placement.Kernel.select_greedy frozen ~picks:k in
+  let greedy_dead = Placement.Kernel.killed frozen in
   Placement.Kernel.reset frozen;
   let rescan = rescan_greedy frozen ~picks:k in
-  picks = celf && picks = rescan && dead = celf_dead
+  picks = greedy && picks = rescan && dead = greedy_dead
   && dead = Placement.Kernel.killed frozen
 
 (* Random interleaving of object creates/deletes and unit
@@ -1097,21 +1080,18 @@ let test_kernel_dyn_oracle =
         (* Oracle 2: the frozen flat kernel agrees on the dead tally. *)
         let frozen = Placement.Kernel.Dyn.freeze dyn in
         assert (Placement.Kernel.killed frozen = recount);
-        (* Oracle 3: incremental adversary ≡ CELF ≡ full rescan. *)
+        (* Oracle 3: incremental adversary ≡ select_greedy ≡ rescan. *)
         List.iter
           (fun k -> assert (dyn_worst_case_agrees dyn ~k))
           [ 0; k; n ]
       done;
       true)
 
-(* The same agreement at a unit count where CELF shards (default_shards
-   1100 > 1 heaps), after deletes have left Dyn's degree high-water mark
-   above the live maximum, and with units failed (the attack starts
-   from all-up regardless). *)
-let test_kernel_dyn_sharded () =
+(* The same agreement at 1100 units, after deletes have left Dyn's
+   degree high-water mark above the live maximum, and with units failed
+   (the attack starts from all-up regardless). *)
+let test_kernel_dyn_1100_units () =
   let units = 1100 and s = 2 and k = 8 in
-  Alcotest.(check bool) "shards" true
-    (Placement.Kernel.default_shards units > 1);
   let rng = Combin.Rng.create 42 in
   let dyn = Placement.Kernel.Dyn.create ~units ~s in
   for _ = 1 to 500 do
@@ -1129,7 +1109,7 @@ let test_kernel_dyn_sharded () =
          (Combin.Rng.int rng (Placement.Kernel.Dyn.objects dyn)))
   done;
   List.iter (Placement.Kernel.Dyn.fail_unit dyn) [ 3; 700; 1099 ];
-  Alcotest.(check bool) "agrees with CELF and rescan" true
+  Alcotest.(check bool) "agrees with select_greedy and rescan" true
     (dyn_worst_case_agrees dyn ~k);
   let _, dead, updates = Placement.Kernel.Dyn.worst_case dyn ~k in
   Alcotest.(check bool) "kills something" true (dead > 0);
@@ -1646,22 +1626,21 @@ let () =
         [
           test_layout_node_objects_memoized;
           test_kernel_incremental_vs_naive;
-          test_kernel_lazy_greedy_identical;
+          test_kernel_greedy_identical;
           test_kernel_group_greedy_identical;
           test_kernel_group_churn;
-          test_kernel_check_bitset_vs_scratch;
-          test_kernel_sharded_identical;
           Alcotest.test_case "packed base > unit degree" `Quick
             test_kernel_group_packed_base;
           Alcotest.test_case "add/remove guards" `Quick test_kernel_double_add;
           test_kernel_dyn_oracle;
-          Alcotest.test_case "Dyn ≡ from-scratch, sharded" `Quick
-            test_kernel_dyn_sharded;
+          Alcotest.test_case "Dyn ≡ from-scratch, n=1100" `Quick
+            test_kernel_dyn_1100_units;
           Alcotest.test_case "dyn guards" `Quick test_kernel_dyn_guards;
           Alcotest.test_case "dyn swap-remove" `Quick
             test_kernel_dyn_swap_remove;
           Alcotest.test_case "dyn worst_case restores its scratch" `Quick
             test_kernel_dyn_worst_case_reset;
+          test_kernel_greedy_from_prefix;
         ] );
       ( "codec",
         [

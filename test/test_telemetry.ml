@@ -195,18 +195,61 @@ let test_values_adversary_local_search () =
         (Placement.Adversary.local_search ~rng:(Combin.Rng.create 7) ?pool
            ~restarts:6 layout ~s:2 ~k:4))
 
-let test_values_adversary_greedy_sharded () =
-  (* 1100 nodes: above the 1024-unit threshold, so the CELF driver
-     really shards and its per-shard statistics must still sum to the
-     same Stable counters at any -j. *)
+(* Reference greedy: a full rescan per pick over a hand-maintained hit
+   counter array, (newly, progress) lex with lowest-id ties. *)
+let scan_greedy layout ~s ~k =
+  let node_objs = Placement.Layout.node_objects layout in
+  let hits = Array.make (Placement.Layout.b layout) 0 in
+  let chosen = Array.make layout.Placement.Layout.n false in
+  Array.init k (fun _ ->
+      let best = ref (-1) and best_ne = ref (-1) and best_pr = ref (-1) in
+      Array.iteri
+        (fun nd objs ->
+          if not chosen.(nd) then begin
+            let ne = ref 0 and pr = ref 0 in
+            Array.iter
+              (fun obj ->
+                if hits.(obj) + 1 = s then incr ne;
+                if hits.(obj) < s then incr pr)
+              objs;
+            if !ne > !best_ne || (!ne = !best_ne && !pr > !best_pr) then begin
+              best := nd;
+              best_ne := !ne;
+              best_pr := !pr
+            end
+          end)
+        node_objs;
+      chosen.(!best) <- true;
+      Array.iter (fun obj -> hits.(obj) <- hits.(obj) + 1) node_objs.(!best);
+      !best)
+
+let test_values_adversary_greedy_1100 () =
+  (* 1100 nodes: the greedy's attack is the full rescan's, and its work
+     lands in the Stable greedy counters. *)
   let inst = Placement.Instance.make ~b:3000 ~r:3 ~s:2 ~n:1100 ~k:6 () in
   let layout =
     Placement.Instance.random_layout ~rng:(Combin.Rng.create 5) inst
   in
-  Alcotest.(check bool) "instance shards" true
-    (Placement.Kernel.default_shards 1100 > 1);
-  check_j_independent "greedy sharded" (fun pool ->
-      ignore (Placement.Adversary.greedy ?pool layout ~s:2 ~k:6))
+  let values =
+    values_string ~jobs:1 (fun _ ->
+        let a = Placement.Adversary.greedy layout ~s:2 ~k:6 in
+        Alcotest.(check (array int)) "picks = rescan"
+          (Combin.Intset.of_array (scan_greedy layout ~s:2 ~k:6))
+          a.Placement.Adversary.failed_nodes;
+        Alcotest.(check int) "damage = naive count"
+          (Placement.Layout.failed_objects layout ~s:2
+             ~failed_nodes:a.Placement.Adversary.failed_nodes)
+          a.Placement.Adversary.failed_objects)
+  in
+  let contains sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length values && (String.sub values i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) "work counted" true
+    (contains "core/adversary/greedy/marginal_evals")
 
 let test_values_topology_exact () =
   let inst = Placement.Instance.make ~b:80 ~r:3 ~s:2 ~n:24 ~k:3 () in
@@ -280,8 +323,8 @@ let () =
           Alcotest.test_case "adversary exact -j" `Quick test_values_adversary_exact;
           Alcotest.test_case "local search -j" `Quick
             test_values_adversary_local_search;
-          Alcotest.test_case "greedy sharded -j" `Quick
-            test_values_adversary_greedy_sharded;
+          Alcotest.test_case "greedy = rescan, n=1100" `Quick
+            test_values_adversary_greedy_1100;
           Alcotest.test_case "topology exact -j" `Quick
             test_values_topology_exact;
           Alcotest.test_case "montecarlo -j" `Quick test_values_montecarlo;

@@ -172,14 +172,7 @@ let test_adversary_flat_equals_node () =
   (* On a flat tree the rack adversary IS the node adversary: same
      availability on the Fig. 4 design points — and, one search under
      two prefixes, the same Stable search counters. *)
-  let stable =
-    [
-      "greedy/marginal_evals";
-      "kernel/heap_pops";
-      "kernel/stale_reevals";
-      "bb/spawned_tasks";
-    ]
-  in
+  let stable = [ "greedy/marginal_evals"; "bb/spawned_tasks" ] in
   let count prefix name =
     Telemetry.Counter.value
       (Telemetry.Registry.counter (prefix ^ "/adversary/" ^ name))
