@@ -1,8 +1,10 @@
-(* Per-level state.  Blocks live in a growable pool: fixed designs are
-   materialized up front; the complete (x = r-1) level appends fresh
-   lexicographic r-subsets on demand.  [usage] counts live objects per
-   block; [hist] is a histogram of usages so the maximum (and hence the
-   effective λ) is maintained under both adds and removes.
+(* Per-level state.  Blocks live in a growable pool, [members]: one
+   int32 plane off the OCaml heap, block i's r nodes at entries r·i ..
+   r·i+r-1.  Fixed designs are copied in up front; the complete
+   (x = r-1) level appends fresh lexicographic r-subsets on demand.
+   [usage] counts live objects per block; [hist] is a histogram of
+   usages so the maximum (and hence the effective λ) is maintained
+   under both adds and removes.
 
    Node retirement (permanent leave): a block containing a retired node
    is BLOCKED — never routed to — and the churn engine immediately
@@ -13,6 +15,7 @@
    eligible pool size is nblocks - nblocked.  Since blocked blocks sit
    at usage 0 in steady state, the usage histogram (which only tracks
    usage >= 1) and hence the effective λ accounting are untouched.
+   A retire or rejoin finds the node's blocks in one scan of [members].
 
    Min-index: "the lowest-index eligible block with usage below a
    threshold" is answered in O(log nblocks) by a min-tree over 64-block
@@ -24,21 +27,24 @@
    166,167 blocks of STS(999)); an update rescans one chunk and walks up
    until an ancestor is unchanged.
 
-   Hints: [open_blocks] lists blocks pushed when they ended an occupy or
-   vacate below the maximum usage, newest first.  A delete on a block
-   that is already listed pushes it again, so under steady churn the
-   list would grow without bound; when it passes [hint_slack] · nblocks
-   entries it is compacted to the newest entry per block. *)
+   Open list: the blocks that ended an occupy or vacate below the
+   maximum usage, newest first, linked from [head] through [next] and
+   back through [prev] (-1 ends either way; [prev] = [unlisted] off the
+   list).  A push moves a listed block to the front, so the list holds
+   at most one entry per block and needs no compaction. *)
+type plane = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type level_state = {
   spec : Combo.level;
-  mutable blocks : int array array;  (* pool, grows for the lazy level *)
+  mutable members : plane;  (* r entries per block; grows for the lazy level *)
   mutable nblocks : int;
-  mutable usage : int array;
+  mutable usage : int array;  (* its length is the pool's capacity *)
   mutable hist : int array;  (* hist.(u) = #blocks with usage u, u >= 1 *)
   mutable max_usage : int;
   mutable live : int;  (* objects at this level *)
-  mutable open_blocks : int list;  (* candidates with usage < max_usage *)
-  mutable nhints : int;  (* List.length open_blocks *)
+  mutable head : int;  (* the open list's newest block, -1 when empty *)
+  mutable next : plane;
+  mutable prev : plane;
   mutable blocked : int array;  (* retired member nodes per block *)
   mutable nblocked : int;  (* blocks with blocked > 0 *)
   mutable tree : int array;
@@ -65,7 +71,23 @@ type t = {
   mutable next_id : int;
 }
 
-let block_blocked st i = st.blocked.(i) > 0
+let get (p : plane) i = Int32.to_int p.{i}
+let set (p : plane) i v = p.{i} <- Int32.of_int v
+let unlisted = -2
+
+(* A plane of [len] entries [v]; [grown] also copies [p] into its prefix. *)
+let plane len v =
+  let p = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout len in
+  Bigarray.Array1.fill p (Int32.of_int v);
+  p
+
+let grown (p : plane) len v =
+  let q = plane len v in
+  Bigarray.Array1.blit p (Bigarray.Array1.sub q 0 (Bigarray.Array1.dim p));
+  q
+
+(* Block [i]'s nodes, fresh. *)
+let row t st i = Array.init t.r (fun j -> get st.members ((t.r * i) + j))
 
 let blocked_count retired block =
   Array.fold_left (fun acc nd -> if retired.(nd) then acc + 1 else acc) 0 block
@@ -74,7 +96,7 @@ let chunk_bits = 6
 let chunk = 1 lsl chunk_bits
 
 (* A block's key in the min-index: no threshold admits a blocked block. *)
-let seg_key st i = if block_blocked st i then max_int else st.usage.(i)
+let seg_key st i = if st.blocked.(i) > 0 then max_int else st.usage.(i)
 
 let chunk_min st c =
   let lo = c lsl chunk_bits in
@@ -135,43 +157,29 @@ let first_below st bound =
     Some !i
   end
 
-(* The hint list is compacted when it passes this multiple of nblocks. *)
-let hint_slack = 2
+let unlink st i =
+  let p = get st.prev i and nx = get st.next i in
+  if p >= 0 then set st.next p nx else st.head <- nx;
+  if nx >= 0 then set st.prev nx p;
+  set st.prev i unlisted
 
-(* Keep the newest entry per block.  A dropped duplicate sits behind a
-   newer entry for its block, so the hint walk reaches the newer one
-   first; the duplicate could only matter if the block re-entered the
-   eligible set without a push, which only a node rejoin does. *)
-let compact_hints st =
-  let seen = Combin.Bitset.create st.nblocks in
-  st.open_blocks <-
-    List.filter
-      (fun i ->
-        (not (Combin.Bitset.mem seen i))
-        && (Combin.Bitset.add seen i;
-            true))
-      st.open_blocks;
-  st.nhints <- List.length st.open_blocks
-
-let push_hint st i =
-  st.open_blocks <- i :: st.open_blocks;
-  st.nhints <- st.nhints + 1;
-  if st.nhints > hint_slack * st.nblocks then compact_hints st
+let push st i =
+  if get st.prev i <> unlisted then unlink st i;
+  set st.prev i (-1);
+  set st.next i st.head;
+  if st.head >= 0 then set st.prev st.head i;
+  st.head <- i
 
 let grow_pool t st block =
-  if st.nblocks = Array.length st.blocks then begin
-    let cap = max 8 (2 * Array.length st.blocks) in
-    let blocks = Array.make cap [||] in
-    Array.blit st.blocks 0 blocks 0 st.nblocks;
-    let usage = Array.make cap 0 in
-    Array.blit st.usage 0 usage 0 st.nblocks;
-    let blocked = Array.make cap 0 in
-    Array.blit st.blocked 0 blocked 0 st.nblocks;
-    st.blocks <- blocks;
-    st.usage <- usage;
-    st.blocked <- blocked
+  if st.nblocks = Array.length st.usage then begin
+    let cap = max 8 (2 * st.nblocks) in
+    st.usage <- Array.append st.usage (Array.make (cap - st.nblocks) 0);
+    st.blocked <- Array.append st.blocked (Array.make (cap - st.nblocks) 0);
+    st.members <- grown st.members (cap * t.r) 0;
+    st.next <- grown st.next cap unlisted;
+    st.prev <- grown st.prev cap unlisted
   end;
-  st.blocks.(st.nblocks) <- block;
+  Array.iteri (fun j nd -> set st.members ((t.r * st.nblocks) + j) nd) block;
   let bc = blocked_count t.retired block in
   st.blocked.(st.nblocks) <- bc;
   if bc > 0 then st.nblocked <- st.nblocked + 1;
@@ -199,10 +207,8 @@ let hist_remove st u =
     done
   end
 
-(* The pool takes the materialized blocks as they are: materialize
-   builds a fresh design per call, Adaptive never writes into a block,
-   and every read that leaves this module returns a copy. *)
-let make_level (spec : Combo.level) =
+(* The materialized design is copied into the plane once and dropped. *)
+let make_level ~r (spec : Combo.level) =
   let fixed_blocks, fresh =
     match spec.Combo.entry with
     | Some e when e.Designs.Registry.strength = e.Designs.Registry.block_size ->
@@ -216,18 +222,28 @@ let make_level (spec : Combo.level) =
         ((Designs.Registry.materialize e).Designs.Block_design.blocks, None)
     | Some _ | None -> ([||], None)
   in
+  let nblocks = Array.length fixed_blocks in
+  let cap = max 1 nblocks in
+  let members = plane (cap * r) 0 in
+  for i = 0 to nblocks - 1 do
+    let block = fixed_blocks.(i) in
+    for j = 0 to r - 1 do
+      set members ((r * i) + j) block.(j)
+    done
+  done;
   let st =
     {
       spec;
-      blocks = fixed_blocks;
-      nblocks = Array.length fixed_blocks;
-      usage = Array.make (max 1 (Array.length fixed_blocks)) 0;
+      members;
+      nblocks;
+      usage = Array.make cap 0;
       hist = Array.make 4 0;
       max_usage = 0;
       live = 0;
-      open_blocks = [];
-      nhints = 0;
-      blocked = Array.make (max 1 (Array.length fixed_blocks)) 0;
+      head = -1;
+      next = plane cap unlisted;
+      prev = plane cap unlisted;
+      blocked = Array.make cap 0;
       nblocked = 0;
       tree = [||];
       leaves = 0;
@@ -245,7 +261,7 @@ let create ?levels ~n ~r ~s ~k () =
     | Some l -> l
     | None -> Combo.default_levels ~n ~r ~s ()
   in
-  let levels = Array.map make_level specs in
+  let levels = Array.map (make_level ~r) specs in
   if not (Array.exists usable levels) then
     invalid_arg "Adaptive.create: no materializable level";
   {
@@ -279,8 +295,7 @@ type slot = Pool of int | Lazy of int array
 
 type decision = {
   pick : slot option;  (* None: no eligible block, even after a λ bump *)
-  hints : int list;  (* open_blocks after the pick *)
-  nhints : int;  (* its length *)
+  drop : int;  (* open-list entries the pick takes off the front *)
   pulled : int array list;
       (* blocked lazy blocks passed over on the way, in pull order; they
          still enter the pool (and unblock if their retired node
@@ -289,47 +304,44 @@ type decision = {
 }
 
 (* Decision order: when the level is empty, the first eligible pool
-   block, else the lazy source.  Otherwise the first open hint still
-   below the maximum usage (stale hints are dropped), else a fresh lazy
-   block (usage 0 < max), else a rescan for a block below the maximum
-   (the hints may have gone stale), else — the level is saturated at
-   the current λ and growing λ by μ means — any eligible block.
+   block, else the lazy source.  Otherwise the newest open-list block
+   still below the maximum usage (the stale entries in front of it are
+   dropped), else a fresh lazy block (usage 0 < max), else a rescan for
+   a block below the maximum (the open list may have gone stale), else
+   — the level is saturated at the current λ and growing λ by μ means —
+   any eligible block; each of the last three drops the whole list.
    Blocked blocks (containing a retired node) are skipped everywhere.
    Both pool scans are min-index queries, so no step loops over the
    pool. *)
 let choose_slot t st =
   let src = match st.fresh with Some src -> !src | None -> Seq.empty in
-  let pool hints nhints i =
-    { pick = Some (Pool i); hints; nhints; pulled = []; rest = src }
-  in
-  let from_lazy hints nhints =
+  let pool drop i = { pick = Some (Pool i); drop; pulled = []; rest = src } in
+  let from_lazy drop =
     let rec go pulled s =
       match Seq.uncons s with
-      | None ->
-          { pick = None; hints; nhints; pulled = List.rev pulled; rest = s }
+      | None -> { pick = None; drop; pulled = List.rev pulled; rest = s }
       | Some (blk, rest) ->
           if blocked_count t.retired blk > 0 then go (blk :: pulled) rest
           else
             let pulled = List.rev pulled in
-            { pick = Some (Lazy blk); hints; nhints; pulled; rest }
+            { pick = Some (Lazy blk); drop; pulled; rest }
     in
     go [] src
   in
   if st.max_usage = 0 then
     match first_below st max_int with
-    | Some i -> pool st.open_blocks st.nhints i
-    | None -> from_lazy st.open_blocks st.nhints
+    | Some i -> pool 0 i
+    | None -> from_lazy 0
   else
-    let rec open_hint nhints = function
-      | i :: rest ->
-          if seg_key st i < st.max_usage then Some (i, rest, nhints - 1)
-          else open_hint (nhints - 1) rest
-      | [] -> None
+    let rec open_entry drop i =
+      if i < 0 then Error drop
+      else if seg_key st i < st.max_usage then Ok (i, drop + 1)
+      else open_entry (drop + 1) (get st.next i)
     in
-    match open_hint st.nhints st.open_blocks with
-    | Some (i, hints, nhints) -> pool hints nhints i
-    | None ->
-        let d = from_lazy [] 0 in
+    match open_entry 0 st.head with
+    | Ok (i, drop) -> pool drop i
+    | Error drop ->
+        let d = from_lazy drop in
         if Option.is_some d.pick then d
         else
           let rescan =
@@ -342,20 +354,14 @@ let choose_slot t st =
 let find_slot t st =
   let d = choose_slot t st in
   Option.iter (fun src -> src := d.rest) st.fresh;
-  st.open_blocks <- d.hints;
-  st.nhints <- d.nhints;
+  for _ = 1 to d.drop do
+    unlink st st.head
+  done;
   List.iter (fun blk -> ignore (grow_pool t st blk)) d.pulled;
   match d.pick with
   | None -> None
   | Some (Pool i) -> Some i
   | Some (Lazy blk) -> Some (grow_pool t st blk)
-
-(* Marginal increase of the total loss bound if one object lands on level
-   x.  λ grows by μ only when the level has no open slot. *)
-let loss_term t (st : level_state) lambda =
-  lambda
-  * Combin.Binomial.exact t.k (st.spec.Combo.x + 1)
-  / Combin.Binomial.exact t.s (st.spec.Combo.x + 1)
 
 (* Routing rule.  Placing on a level with a free slot (some block below
    the current maximum usage, or a fresh lazy block) costs nothing NOW;
@@ -383,9 +389,9 @@ let routing_key t st =
       if st.spec.Combo.cap_mu > 0 then st.spec.Combo.cap_mu
       else max 1 st.nblocks
     in
-    let rate =
-      float_of_int (loss_term t st st.spec.Combo.mu) /. float_of_int cap_mu
-    in
+    (* Loss added by one λ-bump of μ. *)
+    let bump = Combo.loss ~level:st.spec ~d:1 ~k:t.k ~s:t.s in
+    let rate = float_of_int bump /. float_of_int cap_mu in
     Some (needs_bump, rate, st.live)
   end
 
@@ -425,7 +431,7 @@ let peek t =
   let x = best_level t ~what:"peek" in
   let st = t.levels.(x) in
   match (choose_slot t st).pick with
-  | Some (Pool i) -> Array.copy st.blocks.(i)
+  | Some (Pool i) -> row t st i
   | Some (Lazy blk) -> Array.copy blk
   | None -> failwith "Adaptive.peek: level reported usable but has no slot"
 
@@ -436,7 +442,7 @@ let occupy t x block =
   hist_remove st old;
   hist_add st (old + 1);
   refresh st block;
-  if st.usage.(block) < st.max_usage then push_hint st block;
+  if st.usage.(block) < st.max_usage then push st block;
   st.live <- st.live + 1
 
 let vacate t x block =
@@ -446,7 +452,7 @@ let vacate t x block =
   hist_remove st old;
   hist_add st (old - 1);
   refresh st block;
-  if st.usage.(block) < st.max_usage then push_hint st block;
+  if st.usage.(block) < st.max_usage then push st block;
   st.live <- st.live - 1
 
 let add t =
@@ -473,7 +479,7 @@ let assignment t id =
 
 let replica_set t id =
   let a = assignment t id in
-  Array.copy t.levels.(a.level).blocks.(a.block)
+  row t t.levels.(a.level) a.block
 
 let level_of t id = (assignment t id).level
 
@@ -490,13 +496,15 @@ let replace t id =
 
 (* Every block holding [nd] gains ([delta] = 1) or loses ([delta] = -1)
    one retired member; a block whose count crosses between 0 and 1
-   turns blocked or unblocked, and is refreshed. *)
+   turns blocked or unblocked, and is refreshed.  One pass over each
+   level's plane: entry j belongs to block j / r. *)
 let shift_blocked t nd delta =
   let edge = if delta > 0 then 1 else 0 in
   Array.iter
     (fun st ->
-      for i = 0 to st.nblocks - 1 do
-        if Array.exists (fun m -> m = nd) st.blocks.(i) then begin
+      for j = 0 to (st.nblocks * t.r) - 1 do
+        if get st.members j = nd then begin
+          let i = j / t.r in
           st.blocked.(i) <- st.blocked.(i) + delta;
           if st.blocked.(i) = edge then begin
             st.nblocked <- st.nblocked + delta;
@@ -506,39 +514,31 @@ let shift_blocked t nd delta =
       done)
     t.levels
 
-let retire_node t nd =
+(* Retire ([retired] = true) or rejoin a node; [fn] names the caller in
+   the errors. *)
+let set_retired t nd retired ~fn ~state =
   if nd < 0 || nd >= t.n then
-    invalid_arg (Printf.sprintf "Adaptive.retire_node: node %d out of range" nd);
-  if t.retired.(nd) then
-    invalid_arg
-      (Printf.sprintf "Adaptive.retire_node: node %d is already retired" nd);
-  t.retired.(nd) <- true;
-  t.nretired <- t.nretired + 1;
-  shift_blocked t nd 1
+    invalid_arg (Printf.sprintf "Adaptive.%s: node %d out of range" fn nd);
+  if t.retired.(nd) = retired then
+    invalid_arg (Printf.sprintf "Adaptive.%s: node %d %s" fn nd state);
+  let delta = if retired then 1 else -1 in
+  t.retired.(nd) <- retired;
+  t.nretired <- t.nretired + delta;
+  shift_blocked t nd delta
+
+let retire_node t nd =
+  set_retired t nd true ~fn:"retire_node" ~state:"is already retired"
 
 let unretire_node t nd =
-  if nd < 0 || nd >= t.n then
-    invalid_arg
-      (Printf.sprintf "Adaptive.unretire_node: node %d out of range" nd);
-  if not t.retired.(nd) then
-    invalid_arg
-      (Printf.sprintf "Adaptive.unretire_node: node %d is not retired" nd);
-  t.retired.(nd) <- false;
-  t.nretired <- t.nretired - 1;
-  shift_blocked t nd (-1)
+  set_retired t nd false ~fn:"unretire_node" ~state:"is not retired"
 
 let lower_bound ?k t =
   let k = Option.value ~default:t.k k in
   let loss = ref 0 in
   Array.iter
     (fun st ->
-      let lambda = effective_lambda st in
-      if lambda > 0 then
-        loss :=
-          !loss
-          + lambda
-            * Combin.Binomial.exact k (st.spec.Combo.x + 1)
-            / Combin.Binomial.exact t.s (st.spec.Combo.x + 1))
+      if effective_lambda st > 0 then
+        loss := !loss + Combo.loss ~level:st.spec ~d:st.max_usage ~k ~s:t.s)
     t.levels;
   max 0 (size t - !loss)
 
@@ -572,15 +572,22 @@ let check_invariants t =
   Array.iteri
     (fun x st ->
       let live = ref 0 and maxu = ref 0 and nblocked = ref 0 in
+      let listed = ref 0 in
       for i = 0 to st.nblocks - 1 do
         ensure (st.usage.(i) = recount.(x).(i)) "usage mismatch";
+        let block = row t st i in
         ensure
-          (st.blocked.(i) = blocked_count t.retired st.blocks.(i))
+          (Array.for_all (fun nd -> nd >= 0 && nd < t.n) block
+          && Combin.Intset.is_sorted_distinct block)
+          "block members out of range or repeated";
+        ensure
+          (st.blocked.(i) = blocked_count t.retired block)
           "blocked count mismatch";
         if st.blocked.(i) > 0 then begin
           incr nblocked;
           ensure (st.usage.(i) = 0) "blocked block still holds objects"
         end;
+        if get st.prev i <> unlisted then incr listed;
         live := !live + st.usage.(i);
         if st.usage.(i) > !maxu then maxu := st.usage.(i)
       done;
@@ -620,10 +627,18 @@ let check_invariants t =
           ensure (first_below st bound = naive bound)
             "min-index query mismatch")
         [ st.max_usage; max_int ];
-      ensure (st.nhints = List.length st.open_blocks) "hint count mismatch";
-      ensure (st.nhints <= hint_slack * st.nblocks) "hint list past its bound")
-    t.levels;
-  (* The layout must satisfy Definition 2 per level at the effective λ:
-     spot-checked via the per-level usage bound already; full check left
-     to the test suite on small instances. *)
-  ()
+      (* The open list: each step's back link names the block before it.
+         A block has one back link, so a block reached twice fails here
+         and the walk ends; reaching every block flagged as listed then
+         means the list holds each of them once. *)
+      let rec walk before i len =
+        if i < 0 then len
+        else begin
+          ensure
+            (i < st.nblocks && get st.prev i = before)
+            "open list links disagree";
+          walk i (get st.next i) (len + 1)
+        end
+      in
+      ensure (walk (-1) st.head 0 = !listed) "open list misses a listed block")
+    t.levels

@@ -12,16 +12,16 @@
       Lemma 3's availability bound applies at every instant;
     - a new object is routed to the level whose effective λ grows the
       least (ties: the emptier level), so λ only grows when a level is
-      saturated.  Within a level it goes to the newest open hint (a
-      block whose last occupy or vacate left it below the level's
-      maximum usage) still below the maximum, else a fresh lazy block,
-      else the lowest-index eligible block below the maximum, else (the
-      level is saturated) the lowest-index eligible block; an empty
-      level takes the lowest-index eligible block, else a lazy one.
-      The lowest-index picks are queries on a per-level min-index over
-      64-block chunks, O(log blocks) each, and the hint list is kept
-      below twice the block count, so a create costs O(log blocks)
-      amortized, independent of the population;
+      saturated.  Within a level it goes to the newest open block (one
+      whose last occupy or vacate left it below the level's maximum
+      usage) still below the maximum, else a fresh lazy block, else the
+      lowest-index eligible block below the maximum, else (the level is
+      saturated) the lowest-index eligible block; an empty level takes
+      the lowest-index eligible block, else a lazy one.  The open
+      blocks form a move-to-front list with at most one entry per
+      block, and the lowest-index picks are queries on a per-level
+      min-index over 64-block chunks, O(log blocks) each, so a create
+      costs O(log blocks) amortized, independent of the population;
     - removing an object frees its block slot for reuse.
 
     The complete (x = r−1) level generates fresh r-subsets lazily, so
@@ -116,6 +116,7 @@ val layout : t -> Layout.t
 
 val check_invariants : t -> unit
 (** Internal-consistency check (usage counts vs live assignments, λ
-    bookkeeping, the min-index against a recount and a naive scan, the
-    hint-list bound); raises [Failure] on violation.  O(blocks + live
-    objects + hints).  Test-suite hook. *)
+    bookkeeping, every block's members in range and distinct, the
+    min-index against a recount and a naive scan, the open list's links
+    in both directions with no block listed twice); raises [Failure] on
+    violation.  O(blocks + live objects).  Test-suite hook. *)

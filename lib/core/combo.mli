@@ -27,6 +27,9 @@ val default_levels :
     nx ≤ n (the paper's Sec. III-C selection).  Levels for which no
     design exists get [cap_mu = 0] and are never used by the DP. *)
 
+val loss : level:level -> d:int -> k:int -> s:int -> int
+(** The Lemma-2 loss at λx = d·μx: [floor(d μx C(k,x+1) / C(s,x+1))]. *)
+
 val optimize :
   ?choose:(int -> int -> int) -> ?levels:level array -> Params.t -> config
 (** The O(s·b) dynamic program (Eqns 5–7): maximizes lbAvail_co subject

@@ -137,10 +137,10 @@ let test_advise_matches_create () =
       advice row
   done
 
-(* The same contract under churn: leaves block pool blocks, deletes open
-   stale hints, and at s = 3 the lazy complete level pulls (and skips
-   blocked) fresh blocks — every branch of the slot chooser is reached
-   before some create. *)
+(* The same contract under churn: leaves block pool blocks, deletes
+   leave stale open-list entries, and at s = 3 the lazy complete level
+   pulls (and skips blocked) fresh blocks — every branch of the slot
+   chooser is reached before some create. *)
 let advise_churn_gen =
   QCheck2.Gen.(
     quad

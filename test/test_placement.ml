@@ -385,7 +385,7 @@ let test_adaptive_churn_invariants =
            !live)
 
 let test_adaptive_membership_invariants =
-  (* The min-index and the hint list under every operation that moves
+  (* The min-index and the open list under every operation that moves
      them: add, remove, retire (each object on the node is replaced, or
      removed when no slot is left) and rejoin.  s = 3 covers the lazy
      complete level, whose pool and index grow on demand. *)
@@ -436,12 +436,12 @@ let test_adaptive_membership_invariants =
       A.size t = Hashtbl.length live)
 
 let test_adaptive_hint_list_bounded () =
-  (* The hint leak: a delete on a block below the maximum usage pushes
-     it as a hint even when it is already listed, and the create that
-     takes the hint back leaves the block below the maximum, so it is
-     pushed again.  Each delete/create cycle on such a block adds one
-     duplicate; check_invariants bounds the list at a fixed multiple of
-     the pool, so it must be compacted along the way. *)
+  (* A delete on a block below the maximum usage pushes it onto the
+     open list even when it is already listed, and the create that
+     takes it back leaves the block below the maximum, so it is pushed
+     again.  The push moves the block to the front, so the list holds
+     at most one entry per block: check_invariants fails on a block
+     listed twice, through 10^4 such delete/create cycles. *)
   let module A = Placement.Adaptive in
   let t = A.create ~n:13 ~r:3 ~s:2 ~k:2 () in
   let ids = ref [] in
