@@ -116,48 +116,39 @@ let parse_request line =
       String.sub line 0 (String.length line / 2)
     else line
   in
-  let trimmed = String.trim line in
-  if trimmed = "" || (trimmed <> "" && trimmed.[0] = '#') then Ok None
-  else
-    let words =
-      String.split_on_char ' ' trimmed |> List.filter (fun w -> w <> "")
-    in
-    match words with
-    | "query" :: rest -> (
-        match rest with
-        | [ "worst" ] -> Ok (Some (Query (Worst None)))
-        | [ "worst"; k ] -> (
-            match int_of_string_opt k with
-            | Some k -> Ok (Some (Query (Worst (Some k))))
-            | None ->
-                Error
-                  (Printf.sprintf "query worst expects an integer budget, \
-                                   got %S" k))
-        | [ "avail" ] -> Ok (Some (Query Avail))
-        | [ "lower-bound" ] -> Ok (Some (Query Lower_bound))
-        | _ ->
-            Error
-              "query expects worst [K], avail or lower-bound (e.g. \"query \
-               worst 3\")")
-    | "advise" :: rest -> (
-        match rest with
-        | [ "create" ] -> Ok (Some (Query Advise_create))
-        | _ -> Error "advise expects create (e.g. \"advise create\")")
-    | [ "stats" ] -> Ok (Some Stats)
-    | "stats" :: _ -> Error "stats takes no arguments"
-    | first :: _ when List.mem first Event.verbs -> (
-        match Event.parse_line trimmed with
-        | Ok None -> Ok None
-        | Ok (Some ev) -> Ok (Some (Apply ev))
-        | Error msg -> Error msg)
-    | cmd :: _ ->
-        Error
-          (Printf.sprintf
-             "unknown request %S (expected an event — %s — or query \
-              worst/avail/lower-bound, advise create, or stats)"
-             cmd
-             (String.concat ", " Event.verbs))
-    | [] -> assert false
+  match Event.words line with
+  | [] -> Ok None
+  | "query" :: rest -> (
+      match rest with
+      | [ "worst" ] -> Ok (Some (Query (Worst None)))
+      | [ "worst"; k ] -> (
+          match int_of_string_opt k with
+          | Some k -> Ok (Some (Query (Worst (Some k))))
+          | None ->
+              Error
+                (Printf.sprintf "query worst expects an integer budget, \
+                                 got %S" k))
+      | [ "avail" ] -> Ok (Some (Query Avail))
+      | [ "lower-bound" ] -> Ok (Some (Query Lower_bound))
+      | _ ->
+          Error
+            "query expects worst [K], avail or lower-bound (e.g. \"query \
+             worst 3\")")
+  | "advise" :: rest -> (
+      match rest with
+      | [ "create" ] -> Ok (Some (Query Advise_create))
+      | _ -> Error "advise expects create (e.g. \"advise create\")")
+  | [ "stats" ] -> Ok (Some Stats)
+  | "stats" :: _ -> Error "stats takes no arguments"
+  | verb :: args when List.mem verb Event.verbs ->
+      Result.map (fun ev -> Some (Apply ev)) (Event.parse_words verb args)
+  | cmd :: _ ->
+      Error
+        (Printf.sprintf
+           "unknown request %S (expected an event — %s — or query \
+            worst/avail/lower-bound, advise create, or stats)"
+           cmd
+           (String.concat ", " Event.verbs))
 
 let request_to_line = function
   | Apply ev -> Event.to_line ev
@@ -249,89 +240,123 @@ let parse_error s line message =
   reject_line s line message
 
 (* ------------------------------------------------------------------ *)
-(* Response codec: one placement/v1 envelope per response. *)
+(* Response codec: one placement/v1 envelope per response, written
+   straight into a fresh buffer in the compact [Telemetry.Json] format:
+   a bare comma between members, ": " after each key.  Keys are
+   literals, each spelled with the separator before it, so nothing is
+   escaped at run time but the two strings that come from outside: the
+   event echo and a rejection's message.  Each line gets a fresh
+   buffer, not a shared module-level one: sessions run on several
+   domains at once (the dst pool), and a reused buffer measured no
+   faster. *)
 
-let stats_json (st : stats) =
-  J.Obj
-    [
-      ("requests", J.Int st.requests);
-      ("events", J.Int st.events);
-      ("parse_errors", J.Int st.parse_errors);
-      ("rejected", J.Int st.rejected);
-      ("creates", J.Int st.creates);
-      ("deletes", J.Int st.deletes);
-      ("node_fails", J.Int st.node_fails);
-      ("node_recovers", J.Int st.node_recovers);
-      ("domain_fails", J.Int st.domain_fails);
-      ("joins", J.Int st.joins);
-      ("leaves", J.Int st.leaves);
-      ("measures", J.Int st.measures);
-      ("moved_replicas", J.Int st.moved_replicas);
-      ("live", J.Int st.live);
-      ("available", J.Int st.available);
-      ("failed_nodes", J.Int st.failed_nodes);
-      ("nodes_in_service", J.Int st.nodes_in_service);
-      ("lower_bound", J.Int st.lower_bound);
-    ]
+(* The one envelope writer: [command]'s head, then the data object
+   whose members [members] writes. *)
+let envelope command members =
+  let b = Buffer.create 256 in
+  Buffer.add_string b "{\"schema\": \"";
+  Buffer.add_string b Placement.Codec.schema;
+  Buffer.add_string b "\",\"command\": \"";
+  Buffer.add_string b command;
+  Buffer.add_string b "\",\"data\": {";
+  members b;
+  Buffer.add_string b "}}";
+  Buffer.contents b
 
-let response_to_json = function
+let int b key v =
+  Buffer.add_string b key;
+  J.add_int b v
+
+let str b key s =
+  Buffer.add_string b key;
+  Buffer.add_char b '"';
+  Buffer.add_string b (J.escape s);
+  Buffer.add_char b '"'
+
+let ints b key a =
+  Buffer.add_string b key;
+  Buffer.add_char b '[';
+  Array.iteri
+    (fun i v ->
+      if i > 0 then Buffer.add_char b ',';
+      J.add_int b v)
+    a;
+  Buffer.add_char b ']'
+
+(* The stats object's members: the one spelling of its field list. *)
+let stats_members b (st : stats) =
+  int b "\"requests\": " st.requests;
+  int b ",\"events\": " st.events;
+  int b ",\"parse_errors\": " st.parse_errors;
+  int b ",\"rejected\": " st.rejected;
+  int b ",\"creates\": " st.creates;
+  int b ",\"deletes\": " st.deletes;
+  int b ",\"node_fails\": " st.node_fails;
+  int b ",\"node_recovers\": " st.node_recovers;
+  int b ",\"domain_fails\": " st.domain_fails;
+  int b ",\"joins\": " st.joins;
+  int b ",\"leaves\": " st.leaves;
+  int b ",\"measures\": " st.measures;
+  int b ",\"moved_replicas\": " st.moved_replicas;
+  int b ",\"live\": " st.live;
+  int b ",\"available\": " st.available;
+  int b ",\"failed_nodes\": " st.failed_nodes;
+  int b ",\"nodes_in_service\": " st.nodes_in_service;
+  int b ",\"lower_bound\": " st.lower_bound
+
+let response_to_line = function
   | Applied (step : Churn.step) ->
-      Placement.Codec.json_envelope ~command:"apply"
-        (J.Obj
-           [
-             ("seq", J.Int step.Churn.seq);
-             ("event", J.Str (Event.to_line step.Churn.event));
-             ("moved", J.Int step.Churn.moved);
-             ("live", J.Int step.Churn.live);
-             ("available", J.Int step.Churn.available);
-             ("failed_nodes", J.Int step.Churn.failed_nodes);
-             ("lower_bound", J.Int step.Churn.lower_bound);
-           ])
+      envelope "apply" @@ fun b ->
+      int b "\"seq\": " step.Churn.seq;
+      str b ",\"event\": " (Event.to_line step.Churn.event);
+      int b ",\"moved\": " step.Churn.moved;
+      int b ",\"live\": " step.Churn.live;
+      int b ",\"available\": " step.Churn.available;
+      int b ",\"failed_nodes\": " step.Churn.failed_nodes;
+      int b ",\"lower_bound\": " step.Churn.lower_bound
   | Worst_case { k; attack; worst_available; live } ->
-      Placement.Codec.json_envelope ~command:"query"
-        (J.Obj
-           [
-             ("query", J.Str "worst");
-             ("k", J.Int k);
-             ("attack", J.List (Array.to_list (Array.map (fun u -> J.Int u) attack)));
-             ("worst_available", J.Int worst_available);
-             ("live", J.Int live);
-           ])
+      envelope "query" @@ fun b ->
+      int b "\"query\": \"worst\",\"k\": " k;
+      ints b ",\"attack\": " attack;
+      int b ",\"worst_available\": " worst_available;
+      int b ",\"live\": " live
   | Availability { live; available; failed_nodes; nodes_in_service } ->
-      Placement.Codec.json_envelope ~command:"query"
-        (J.Obj
-           [
-             ("query", J.Str "avail");
-             ("live", J.Int live);
-             ("available", J.Int available);
-             ("failed_nodes", J.Int failed_nodes);
-             ("nodes_in_service", J.Int nodes_in_service);
-           ])
+      envelope "query" @@ fun b ->
+      int b "\"query\": \"avail\",\"live\": " live;
+      int b ",\"available\": " available;
+      int b ",\"failed_nodes\": " failed_nodes;
+      int b ",\"nodes_in_service\": " nodes_in_service
   | Bound { lower_bound; live } ->
-      Placement.Codec.json_envelope ~command:"query"
-        (J.Obj
-           [
-             ("query", J.Str "lower-bound");
-             ("lower_bound", J.Int lower_bound);
-             ("live", J.Int live);
-           ])
+      envelope "query" @@ fun b ->
+      int b "\"query\": \"lower-bound\",\"lower_bound\": " lower_bound;
+      int b ",\"live\": " live
   | Advice { nodes; live } ->
-      Placement.Codec.json_envelope ~command:"query"
-        (J.Obj
-           [
-             ("query", J.Str "advise-create");
-             ( "nodes",
-               J.List (Array.to_list (Array.map (fun u -> J.Int u) nodes)) );
-             ("live", J.Int live);
-           ])
-  | Stats_report st ->
-      Placement.Codec.json_envelope ~command:"stats" (stats_json st)
-  | Rejected { line; message } ->
-      Placement.Codec.json_envelope ~command:"error"
-        (J.Obj
-           ((match line with
-            | Some l -> [ ("line", J.Int l) ]
-            | None -> [])
-           @ [ ("message", J.Str message) ]))
+      envelope "query" @@ fun b ->
+      ints b "\"query\": \"advise-create\",\"nodes\": " nodes;
+      int b ",\"live\": " live
+  | Stats_report st -> envelope "stats" @@ fun b -> stats_members b st
+  | Rejected { line; message } -> (
+      envelope "error" @@ fun b ->
+      match line with
+      | Some l ->
+          int b "\"line\": " l;
+          str b ",\"message\": " message
+      | None -> str b "\"message\": " message)
 
-let response_to_line resp = J.to_string (response_to_json resp)
+(* Serve's two envelopes of its own, around the stats object. *)
+let stats_in b st =
+  Buffer.add_string b ",\"stats\": {";
+  stats_members b st;
+  Buffer.add_char b '}'
+
+let snapshot_line ~after_events st =
+  envelope "snapshot" @@ fun b ->
+  int b "\"after_events\": " after_events;
+  stats_in b st
+
+let summary_line ~reason st =
+  envelope "summary" @@ fun b ->
+  Buffer.add_string b "\"reason\": \"";
+  Buffer.add_string b reason;
+  Buffer.add_char b '"';
+  stats_in b st

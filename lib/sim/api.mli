@@ -103,12 +103,17 @@ val reject_line : session -> int -> string -> response
     past the daemon's cap, a line over the daemon's length bound) —
     counted as rejected but not as a parse error. *)
 
-val stats_json : stats -> Telemetry.Json.t
-
-val response_to_json : response -> Telemetry.Json.t
-(** The response's [placement/v1] envelope: command [apply], [query],
-    [stats] or [error]. *)
-
 val response_to_line : response -> string
-(** {!response_to_json} rendered compact (single line, no trailing
-    newline) — the wire format of the serve protocol. *)
+(** The response's [placement/v1] envelope (command [apply], [query],
+    [stats] or [error]) as one compact line with no trailing newline —
+    the wire format of the serve protocol.  Written straight into a
+    buffer, byte for byte what [Telemetry.Json.to_string] prints for the
+    same envelope built as a tree. *)
+
+val snapshot_line : after_events:int -> stats -> string
+(** The serve daemon's [snapshot] envelope: the stats after
+    [after_events] applied events, in {!response_to_line}'s format. *)
+
+val summary_line : reason:string -> stats -> string
+(** The serve daemon's closing [summary] envelope.  [reason] is one of
+    its fixed labels ([eof], [signal], ...) and is written unescaped. *)

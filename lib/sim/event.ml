@@ -18,82 +18,86 @@ let describe = function
   | Object_delete id -> Printf.sprintf "delete object %d" id
   | Measure label -> Printf.sprintf "measure %S" label
 
+(* A buffer holding [verb], a space and [n]'s digits. *)
+let spell verb n =
+  let b = Buffer.create 24 in
+  Buffer.add_string b verb;
+  Buffer.add_char b ' ';
+  Telemetry.Json.add_int b n;
+  b
+
 let to_line = function
-  | Node_fail nd -> Printf.sprintf "fail %d" nd
-  | Node_recover nd -> Printf.sprintf "recover %d" nd
-  | Node_join nd -> Printf.sprintf "join %d" nd
-  | Node_leave nd -> Printf.sprintf "leave %d" nd
-  | Domain_fail (level, d) -> Printf.sprintf "fail-domain %d %d" level d
+  | Node_fail nd -> Buffer.contents (spell "fail" nd)
+  | Node_recover nd -> Buffer.contents (spell "recover" nd)
+  | Node_join nd -> Buffer.contents (spell "join" nd)
+  | Node_leave nd -> Buffer.contents (spell "leave" nd)
+  | Domain_fail (level, d) ->
+      let b = spell "fail-domain" level in
+      Buffer.add_char b ' ';
+      Telemetry.Json.add_int b d;
+      Buffer.contents b
   | Object_create -> "create"
-  | Object_delete id -> Printf.sprintf "delete %d" id
+  | Object_delete id -> Buffer.contents (spell "delete" id)
   | Measure label -> if label = "" then "measure" else "measure " ^ label
 
 let verbs =
   [ "fail"; "recover"; "fail-domain"; "join"; "leave"; "create"; "delete";
     "measure" ]
 
-(* One event per line, [to_line]'s spelling; blank lines and #-comments
-   are skipped.  Errors are single actionable sentences — the CLI
-   prefixes them with FILE:LINE. *)
-let parse_line line =
+(* One event per line, [to_line]'s spelling: its space-separated words,
+   none for a blank line or a #-comment.  [Api.parse_request] splits its
+   request lines here too, so each line is trimmed and split once. *)
+let words line =
   let line = String.trim line in
-  if line = "" || line.[0] = '#' then Ok None
-  else
-    let words =
-      String.split_on_char ' ' line |> List.filter (fun w -> w <> "")
-    in
-    let int_arg ~what v k =
-      match int_of_string_opt v with
-      | Some i -> k i
-      | None -> Error (Printf.sprintf "%s expects an integer, got %S" what v)
-    in
-    match words with
-    | "fail" :: rest -> (
-        match rest with
-        | [ nd ] ->
-            int_arg ~what:"fail" nd (fun nd -> Ok (Some (Node_fail nd)))
-        | _ -> Error "fail expects exactly one node id (e.g. \"fail 3\")")
-    | "recover" :: rest -> (
-        match rest with
-        | [ nd ] ->
-            int_arg ~what:"recover" nd (fun nd -> Ok (Some (Node_recover nd)))
-        | _ -> Error "recover expects exactly one node id (e.g. \"recover 3\")")
-    | "join" :: rest -> (
-        match rest with
-        | [ nd ] ->
-            int_arg ~what:"join" nd (fun nd -> Ok (Some (Node_join nd)))
-        | _ -> Error "join expects exactly one node id (e.g. \"join 3\")")
-    | "leave" :: rest -> (
-        match rest with
-        | [ nd ] ->
-            int_arg ~what:"leave" nd (fun nd -> Ok (Some (Node_leave nd)))
-        | _ -> Error "leave expects exactly one node id (e.g. \"leave 3\")")
-    | "fail-domain" :: rest -> (
-        match rest with
-        | [ level; d ] ->
-            int_arg ~what:"fail-domain" level (fun level ->
-                int_arg ~what:"fail-domain" d (fun d ->
-                    Ok (Some (Domain_fail (level, d)))))
-        | _ ->
-            Error
-              "fail-domain expects a level and a domain id (e.g. \
-               \"fail-domain 1 0\")")
-    | [ "create" ] -> Ok (Some Object_create)
-    | "create" :: _ -> Error "create takes no arguments"
-    | "delete" :: rest -> (
-        match rest with
-        | [ id ] ->
-            int_arg ~what:"delete" id (fun id -> Ok (Some (Object_delete id)))
-        | _ ->
-            Error "delete expects exactly one object id (e.g. \"delete 17\")")
-    | "measure" :: rest -> Ok (Some (Measure (String.concat " " rest)))
-    | cmd :: _ ->
-        Error
-          (Printf.sprintf
-             "unknown event %S (expected fail, recover, fail-domain, join, \
-              leave, create, delete or measure)"
-             cmd)
-    | [] -> assert false
+  if line = "" || line.[0] = '#' then []
+  else String.split_on_char ' ' line |> List.filter (fun w -> w <> "")
+
+(* Errors are single actionable sentences — the CLI prefixes them with
+   FILE:LINE. *)
+let parse_words verb args =
+  let int_arg ~what v k =
+    match int_of_string_opt v with
+    | Some i -> k i
+    | None -> Error (Printf.sprintf "%s expects an integer, got %S" what v)
+  in
+  match (verb, args) with
+  | "fail", [ nd ] ->
+      int_arg ~what:"fail" nd (fun nd -> Ok (Node_fail nd))
+  | "fail", _ -> Error "fail expects exactly one node id (e.g. \"fail 3\")"
+  | "recover", [ nd ] ->
+      int_arg ~what:"recover" nd (fun nd -> Ok (Node_recover nd))
+  | "recover", _ ->
+      Error "recover expects exactly one node id (e.g. \"recover 3\")"
+  | "join", [ nd ] -> int_arg ~what:"join" nd (fun nd -> Ok (Node_join nd))
+  | "join", _ -> Error "join expects exactly one node id (e.g. \"join 3\")"
+  | "leave", [ nd ] ->
+      int_arg ~what:"leave" nd (fun nd -> Ok (Node_leave nd))
+  | "leave", _ -> Error "leave expects exactly one node id (e.g. \"leave 3\")"
+  | "fail-domain", [ level; d ] ->
+      int_arg ~what:"fail-domain" level (fun level ->
+          int_arg ~what:"fail-domain" d (fun d -> Ok (Domain_fail (level, d))))
+  | "fail-domain", _ ->
+      Error
+        "fail-domain expects a level and a domain id (e.g. \
+         \"fail-domain 1 0\")"
+  | "create", [] -> Ok Object_create
+  | "create", _ -> Error "create takes no arguments"
+  | "delete", [ id ] ->
+      int_arg ~what:"delete" id (fun id -> Ok (Object_delete id))
+  | "delete", _ ->
+      Error "delete expects exactly one object id (e.g. \"delete 17\")"
+  | "measure", rest -> Ok (Measure (String.concat " " rest))
+  | cmd, _ ->
+      Error
+        (Printf.sprintf
+           "unknown event %S (expected fail, recover, fail-domain, join, \
+            leave, create, delete or measure)"
+           cmd)
+
+let parse_line line =
+  match words line with
+  | [] -> Ok None
+  | verb :: args -> Result.map Option.some (parse_words verb args)
 
 let parse_string text =
   let lines = String.split_on_char '\n' text in

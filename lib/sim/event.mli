@@ -33,6 +33,16 @@ val verbs : string list
 (** The event verbs accepted by {!parse_line}, in the order quoted by
     its unknown-verb error. *)
 
+val words : string -> string list
+(** A line's space-separated words, trimmed, empty ones dropped; [[]]
+    exactly when the line is blank or a [#] comment.  The one splitter
+    of the line formats: {!parse_line} and [Api.parse_request] both
+    split here. *)
+
+val parse_words : string -> string list -> (t, string) result
+(** [parse_words verb args] parses the words of one non-blank line, as
+    {!words} splits it, with the same errors as {!parse_line}. *)
+
 val parse_line : string -> (t option, string) result
 (** Parse one line of an event file.  [Ok None] on a blank line or a
     [#] comment; [Error msg] carries a single actionable sentence. *)

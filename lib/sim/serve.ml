@@ -1,5 +1,3 @@
-module J = Telemetry.Json
-
 type reason = Eof | Signal | Timeout | Max_events
 
 let reason_label = function
@@ -75,14 +73,7 @@ let run ?max_events ?snapshot_every ?(timeout = 0.) session ~input ~output =
     | Some every when every > 0 && !applied mod every = 0 ->
         incr responses;
         write_all output
-          (J.to_string
-             (Placement.Codec.json_envelope ~command:"snapshot"
-                (J.Obj
-                   [
-                     ("after_events", J.Int !applied);
-                     ("stats", Api.stats_json (Api.stats session));
-                   ]))
-          ^ "\n")
+          (Api.snapshot_line ~after_events:!applied (Api.stats session) ^ "\n")
     | _ -> ()
   in
   let handle_line line =
@@ -195,13 +186,7 @@ let run ?max_events ?snapshot_every ?(timeout = 0.) session ~input ~output =
   in
   (try
      write_all output
-       (J.to_string
-          (Placement.Codec.json_envelope ~command:"summary"
-             (J.Obj
-                [
-                  ("reason", J.Str (reason_label reason));
-                  ("stats", Api.stats_json (Api.stats session));
-                ]))
+       (Api.summary_line ~reason:(reason_label reason) (Api.stats session)
        ^ "\n")
    with Peer_gone -> ());
   { reason; responses = !responses }

@@ -15,7 +15,15 @@ type t =
   | Obj of (string * t) list
 
 val escape : string -> string
-(** JSON string-escape the contents (no surrounding quotes). *)
+(** JSON string-escape the contents (no surrounding quotes): the double
+    quote, the backslash and bytes below 0x20; every other byte, UTF-8
+    included, passes through.  A string with nothing to escape is
+    returned itself. *)
+
+val add_int : Buffer.t -> int -> unit
+(** [add_int b n] appends [string_of_int n] to [b] without the C
+    runtime's printf and without allocating: for writers that spell
+    JSON straight into a buffer. *)
 
 val to_string : ?indent:int -> t -> string
 (** Render; [indent] (spaces per level, e.g. 2) selects pretty-printed

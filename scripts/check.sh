@@ -3,16 +3,18 @@
 # correctness smoke (each of the four workloads run for one second with
 # tracing on: no Rejected responses, Churn.check after each pass, traced
 # responses identical to untraced ones, exact attacks untruncated and
-# never below greedy) and one 10 s attack run held to its pinned
-# response digest, then the CLI gates: a telemetry smoke (--metrics
-# must carry the placement/v1 envelope and the B&B statistics), the
-# exact-attack -j1 ≡ -j4 diff and the frontier counters, a topology
-# smoke (rack adversary vs node adversary sanity inequality), a churn
-# smoke (a 10^4-event seeded trace replayed through the continuous
-# engine, diffed byte-for-byte against the pinned envelope in
-# scripts/churn_smoke.expected, a 6000-event trace at n=1000, k=8
-# against scripts/churn_n1000.expected, and one with node leaves and
-# rejoins against scripts/churn_membership.expected), the serve gates
+# never below greedy) and one 10 s run of each workload held to its
+# pinned response digest (a codec byte slip on any serve shape, or a
+# moved greedy pick, fails here), then the CLI gates: a telemetry smoke
+# (--metrics must carry the placement/v1 envelope and the B&B
+# statistics), the exact-attack -j1 ≡ -j4 diff and the frontier
+# counters, a topology smoke (rack adversary vs node adversary sanity
+# inequality), a churn smoke (a 10^4-event seeded trace replayed
+# through the continuous engine, diffed byte-for-byte against the
+# pinned envelope in scripts/churn_smoke.expected, a 6000-event trace
+# at n=1000, k=8 against scripts/churn_n1000.expected, and one with
+# node leaves and rejoins against scripts/churn_membership.expected),
+# the serve gates
 # (a fixed event+query script answered over stdin must be
 # byte-identical to the batch churn --responses replay, a SIGTERM
 # mid-session must still flush a summary envelope naming the signal,
@@ -37,13 +39,17 @@ for workload in ingest outage worst_query attack; do
     { echo "check.sh: profbench $workload reported a correctness failure" >&2; exit 1; }
 done
 
-# Greedy picks at scale: the 1 s runs above skip the pinned digest, so
-# one attack run at the pinned seed and length (greedy k=16 on n=10^4,
-# b=10^6, plus the exact and domain searches) must reproduce its
-# pinned response digest; profbench exits non-zero when it moves.
-dune exec --root . ./profbench/main.exe -- profile attack --seed 1 \
-  --seconds 10 ||
-  { echo "check.sh: profbench attack at the pinned seed diverged from its pinned digest" >&2; exit 1; }
+# Pinned digests: the 1 s runs above skip the digest check, so each
+# workload also runs at the pinned seed and length and must reproduce
+# its pinned response digest (profbench exits non-zero when it moves).
+# The serve workloads hash every response line, so any codec byte slip
+# fails here; attack hashes the greedy picks at scale (k=16 on n=10^4,
+# b=10^6) plus the exact and domain searches.
+for workload in ingest outage worst_query attack; do
+  dune exec --root . ./profbench/main.exe -- profile "$workload" --seed 1 \
+    --seconds 10 ||
+    { echo "check.sh: profbench $workload at the pinned seed diverged from its pinned digest" >&2; exit 1; }
+done
 
 metrics=$(dune exec bin/placement_tool.exe -- attack --strategy combo \
   -n 31 -b 600 -r 3 -s 2 -k 3 --metrics -)

@@ -809,6 +809,202 @@ let test_api_response_lines () =
     (contains ~sub:"\"command\": \"error\"" l
     && contains ~sub:"\"line\": 7" l)
 
+(* The byte specification of the wire format: each envelope built as a
+   [Telemetry.Json] tree and printed compact.  [Api] writes its lines
+   straight into a buffer and must match this tree byte for byte. *)
+module Oracle = struct
+  module J = Telemetry.Json
+
+  let ints a = J.List (Array.to_list (Array.map (fun u -> J.Int u) a))
+
+  let stats (st : Dsim.Api.stats) =
+    J.Obj
+      [
+        ("requests", J.Int st.requests);
+        ("events", J.Int st.events);
+        ("parse_errors", J.Int st.parse_errors);
+        ("rejected", J.Int st.rejected);
+        ("creates", J.Int st.creates);
+        ("deletes", J.Int st.deletes);
+        ("node_fails", J.Int st.node_fails);
+        ("node_recovers", J.Int st.node_recovers);
+        ("domain_fails", J.Int st.domain_fails);
+        ("joins", J.Int st.joins);
+        ("leaves", J.Int st.leaves);
+        ("measures", J.Int st.measures);
+        ("moved_replicas", J.Int st.moved_replicas);
+        ("live", J.Int st.live);
+        ("available", J.Int st.available);
+        ("failed_nodes", J.Int st.failed_nodes);
+        ("nodes_in_service", J.Int st.nodes_in_service);
+        ("lower_bound", J.Int st.lower_bound);
+      ]
+
+  let query fields = J.Obj fields |> Placement.Codec.json_envelope ~command:"query"
+
+  let response : Dsim.Api.response -> J.t = function
+    | Applied step ->
+        Placement.Codec.json_envelope ~command:"apply"
+          (J.Obj
+             [
+               ("seq", J.Int step.seq);
+               ("event", J.Str (Dsim.Event.to_line step.event));
+               ("moved", J.Int step.moved);
+               ("live", J.Int step.live);
+               ("available", J.Int step.available);
+               ("failed_nodes", J.Int step.failed_nodes);
+               ("lower_bound", J.Int step.lower_bound);
+             ])
+    | Worst_case { k; attack; worst_available; live } ->
+        query
+          [
+            ("query", J.Str "worst");
+            ("k", J.Int k);
+            ("attack", ints attack);
+            ("worst_available", J.Int worst_available);
+            ("live", J.Int live);
+          ]
+    | Availability { live; available; failed_nodes; nodes_in_service } ->
+        query
+          [
+            ("query", J.Str "avail");
+            ("live", J.Int live);
+            ("available", J.Int available);
+            ("failed_nodes", J.Int failed_nodes);
+            ("nodes_in_service", J.Int nodes_in_service);
+          ]
+    | Bound { lower_bound; live } ->
+        query
+          [
+            ("query", J.Str "lower-bound");
+            ("lower_bound", J.Int lower_bound);
+            ("live", J.Int live);
+          ]
+    | Advice { nodes; live } ->
+        query
+          [
+            ("query", J.Str "advise-create");
+            ("nodes", ints nodes);
+            ("live", J.Int live);
+          ]
+    | Stats_report st -> Placement.Codec.json_envelope ~command:"stats" (stats st)
+    | Rejected { line; message } ->
+        Placement.Codec.json_envelope ~command:"error"
+          (J.Obj
+             ((match line with Some l -> [ ("line", J.Int l) ] | None -> [])
+             @ [ ("message", J.Str message) ]))
+
+  let snapshot ~after_events st =
+    Placement.Codec.json_envelope ~command:"snapshot"
+      (J.Obj [ ("after_events", J.Int after_events); ("stats", stats st) ])
+
+  let summary ~reason st =
+    Placement.Codec.json_envelope ~command:"summary"
+      (J.Obj [ ("reason", J.Str reason); ("stats", stats st) ])
+end
+
+module Wire_gen = struct
+  open QCheck2.Gen
+
+  (* Ints across the whole range: negatives, the extremes, zero. *)
+  let any_int = oneof [ int; small_signed_int; pure max_int; pure min_int ]
+  let bytes = string_size (int_range 0 24)
+  let ints = array_size (oneofl [ 0; 0; 1; 3; 8 ]) any_int
+
+  let event =
+    oneof
+      [
+        map (fun n -> Dsim.Event.Node_fail n) any_int;
+        map (fun n -> Dsim.Event.Node_recover n) any_int;
+        map (fun n -> Dsim.Event.Node_join n) any_int;
+        map (fun n -> Dsim.Event.Node_leave n) any_int;
+        map2 (fun l d -> Dsim.Event.Domain_fail (l, d)) any_int any_int;
+        pure Dsim.Event.Object_create;
+        map (fun id -> Dsim.Event.Object_delete id) any_int;
+        map (fun label -> Dsim.Event.Measure label) bytes;
+      ]
+
+  let stats =
+    let+ v = map Array.of_list (list_repeat 18 any_int) in
+    {
+      Dsim.Api.requests = v.(0);
+      events = v.(1);
+      parse_errors = v.(2);
+      rejected = v.(3);
+      creates = v.(4);
+      deletes = v.(5);
+      node_fails = v.(6);
+      node_recovers = v.(7);
+      domain_fails = v.(8);
+      joins = v.(9);
+      leaves = v.(10);
+      measures = v.(11);
+      moved_replicas = v.(12);
+      live = v.(13);
+      available = v.(14);
+      failed_nodes = v.(15);
+      nodes_in_service = v.(16);
+      lower_bound = v.(17);
+    }
+
+  let response : Dsim.Api.response t =
+    oneof
+      [
+        (let+ seq = any_int
+         and+ event = event
+         and+ moved = any_int
+         and+ live = any_int
+         and+ available = any_int
+         and+ failed_nodes = any_int
+         and+ lower_bound = any_int in
+         Dsim.Api.Applied
+           { seq; event; moved; live; available; failed_nodes; lower_bound });
+        (let+ k = any_int
+         and+ attack = ints
+         and+ worst_available = any_int
+         and+ live = any_int in
+         Dsim.Api.Worst_case { k; attack; worst_available; live });
+        (let+ live = any_int
+         and+ available = any_int
+         and+ failed_nodes = any_int
+         and+ nodes_in_service = any_int in
+         Dsim.Api.Availability
+           { live; available; failed_nodes; nodes_in_service });
+        (let+ lower_bound = any_int and+ live = any_int in
+         Dsim.Api.Bound { lower_bound; live });
+        (let+ nodes = ints and+ live = any_int in
+         Dsim.Api.Advice { nodes; live });
+        map (fun st -> Dsim.Api.Stats_report st) stats;
+        (let+ line = opt any_int and+ message = bytes in
+         Dsim.Api.Rejected { line; message });
+      ]
+end
+
+let same_bytes ~want got =
+  got = want
+  || QCheck2.Test.fail_reportf "codec wrote\n  %S\nthe tree prints\n  %S" got
+       want
+
+let prop_api_lines_match_oracle =
+  qtest ~count:2000 "api response lines = tree encoder" Wire_gen.response
+    (fun resp ->
+      same_bytes
+        ~want:(Telemetry.Json.to_string (Oracle.response resp))
+        (Dsim.Api.response_to_line resp))
+
+let prop_serve_lines_match_oracle =
+  qtest ~count:500 "snapshot/summary lines = tree encoder"
+    QCheck2.Gen.(
+      triple Wire_gen.any_int Wire_gen.stats
+        (oneofl [ "eof"; "signal"; "timeout"; "max-events" ]))
+    (fun (after_events, st, reason) ->
+      same_bytes
+        ~want:(Telemetry.Json.to_string (Oracle.snapshot ~after_events st))
+        (Dsim.Api.snapshot_line ~after_events st)
+      && same_bytes
+           ~want:(Telemetry.Json.to_string (Oracle.summary ~reason st))
+           (Dsim.Api.summary_line ~reason st))
+
 (* ------------------------------------------------------------------ *)
 (* Serve: the daemon loop over real file descriptors. *)
 
@@ -1082,6 +1278,8 @@ let () =
             test_api_request_roundtrip;
           Alcotest.test_case "exec" `Quick test_api_exec;
           Alcotest.test_case "response lines" `Quick test_api_response_lines;
+          prop_api_lines_match_oracle;
+          prop_serve_lines_match_oracle;
         ] );
       ( "serve",
         [

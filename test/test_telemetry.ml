@@ -43,6 +43,28 @@ let test_json_render () =
   Alcotest.(check string)
     "control chars escaped" {|"\u0001"|}
     (T.Json.to_string (T.Json.Str "\001"));
+  let esc = T.Json.escape in
+  Alcotest.(check string) "quote and backslash" {|a\"b\\c|} (esc {|a"b\c|});
+  Alcotest.(check string) "newline, return, tab" {|\n\r\t|} (esc "\n\r\t");
+  Alcotest.(check string) "0x1f as \\u" {|\u001f|} (esc "\x1f");
+  Alcotest.(check string) "0x7f passes through" "\x7f" (esc "\x7f");
+  Alcotest.(check string) "UTF-8 passes through" "d\xc3\xa9j\xc3\xa0 \xe2\x9c\x93"
+    (esc "d\xc3\xa9j\xc3\xa0 \xe2\x9c\x93");
+  let plain = "placement/v1 plain" in
+  Alcotest.(check string) "plain unchanged" plain (esc plain);
+  Alcotest.(check bool) "plain comes back itself" true (esc plain == plain);
+  let rng = Random.State.make [| 30 |] in
+  List.iter
+    (fun n ->
+      let b = Buffer.create 8 in
+      T.Json.add_int b n;
+      Alcotest.(check string) "add_int = string_of_int" (string_of_int n)
+        (Buffer.contents b))
+    ([ 0; 1; 9; 10; 99; 100; -1; -9; -10; -11; max_int; min_int;
+       max_int - 1; min_int + 1 ]
+    @ List.init 200 (fun i ->
+          let v = Random.State.bits rng in
+          if i mod 2 = 0 then v else -v));
   let indented = T.Json.to_string ~indent:2 j in
   Alcotest.(check bool) "indented has newlines" true
     (String.contains indented '\n');
