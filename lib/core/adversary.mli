@@ -50,7 +50,8 @@ val search_exact :
   ?budget:int -> ?spawn_depth:int -> ?pool:Engine.Pool.t ->
   metrics -> Kernel.t -> k:int -> search
 (** Branch-and-bound over every k-subset of the all-up kernel's units
-    (left untouched) with a degree-sum upper bound for pruning, seeded
+    (left untouched), pruned by the smaller of the degree-sum bound and
+    Lemma 2's counting bound ({!Bb.counting_bound}), seeded
     with {!search_greedy} on a copy, run on the work-stealing sharded
     frontier ({!Bb}): subtree tasks cut at a deterministic spawn depth
     ([spawn_depth] overrides it, clamped to [1, k]; tests only), drained

@@ -28,6 +28,13 @@
    equals the sequential reference (spawn_depth = k) at any -j and any
    schedule, even though which nodes get pruned varies run to run.
 
+   Pruning takes the smaller of two admissible bounds on what m more
+   picks from units >= start can add: the degree sum top_deg.(start).(m)
+   and the counting bound (finisher counts plus C(m,2) times the suffix
+   pair co-occurrence), so no search prunes less than with the degree
+   sum alone.  Every kernel copy is wrapped in Kernel.Finishers, whose
+   add and remove keep the finisher counts exact.
+
    Greedy completions (Kernel.select_greedy over a task's remaining
    picks, on the worker's kernel copy) are pure pruning accelerators:
    they publish to the shared bound and are NEVER recorded as results,
@@ -65,7 +72,7 @@ type result = {
    retargeted between tasks by prefix diffing; plain-int statistics
    flushed by the caller after the batch. *)
 type scratch = {
-  st : Kernel.t;
+  fs : Kernel.Finishers.t;
   path : int array;  (* capacity k: applied prefix ++ DFS path *)
   mutable plen : int;  (* applied prefix length *)
   mutable quota : int;  (* node allowance drawn from the global budget *)
@@ -122,6 +129,16 @@ let top_degrees ~degrees ~n ~k =
   done;
   acc
 
+(* The counting bound (Lemma 2): an object the next m picks kill is
+   either killed by one pick alone, and then counted in that pick's
+   finisher count, or hosted by two distinct picks, and then counted in
+   that pair's co-occurrence.  With s = 1 no object needs two picks. *)
+let counting_bound fs ~pair ~start ~m =
+  Kernel.Finishers.top_fin fs ~start ~m
+  + if Kernel.threshold (Kernel.Finishers.kernel fs) >= 2 then
+      m * (m - 1) / 2 * pair.(start)
+    else 0
+
 (* Smallest depth whose full prefix count C(n, d) reaches [target]:
    enough tasks that stealing can balance any skew, few enough that the
    sequential spawn stays negligible.  A pure function of (n, k) — the
@@ -145,10 +162,22 @@ let search ?pool ?spawn_depth ~budget ~kernel:kn0 ~k ~seed () =
   in
   let degrees = Array.init n (Kernel.degree kn0) in
   let top_deg = top_degrees ~degrees ~n ~k in
+  let fs0 = Kernel.Finishers.make kn0 in
+  (* The pair term only enters with two picks to go and s >= 2. *)
+  let pair =
+    if k >= 2 && Kernel.threshold kn0 >= 2 then Kernel.Finishers.pairs fs0
+    else Array.make (n + 1) 0
+  in
+  (* Optimistic damage of [fs]'s state plus m picks from units >= start:
+     the smaller of the degree-sum and counting bounds, both admissible. *)
+  let potential fs ~start ~m =
+    Kernel.killed (Kernel.Finishers.kernel fs)
+    + min top_deg.(start).(m) (counting_bound fs ~pair ~start ~m)
+  in
   let shared = Engine.Bound.create seed in
   (* ---- spawn phase: sequential, prunes against the seed (and, when
      spawn_depth = k, its own strictly-improving best) only ---- *)
-  let ks = Kernel.copy kn0 in
+  let ks = Kernel.Finishers.copy fs0 in
   let spath = Array.make k 0 in
   let prefixes = ref [] in
   let ntasks = ref 0 in
@@ -160,7 +189,7 @@ let search ?pool ?spawn_depth ~budget ~kernel:kn0 ~k ~seed () =
     if depth = spawn_depth && depth < k then begin
       (* Emit: the task re-checks against the live shared bound at its
          root, so this filter only spares dead-on-arrival descriptors. *)
-      if Kernel.killed ks + top_deg.(start).(k - depth) > !sbest then begin
+      if potential ks ~start ~m:(k - depth) > !sbest then begin
         prefixes := Array.sub spath 0 depth :: !prefixes;
         incr ntasks
       end
@@ -173,7 +202,7 @@ let search ?pool ?spawn_depth ~budget ~kernel:kn0 ~k ~seed () =
         (* Inline leaf: only reachable when spawn_depth = k, i.e. the
            whole search runs here — the sequential reference. *)
         incr sleaves;
-        let v = Kernel.killed ks in
+        let v = Kernel.killed (Kernel.Finishers.kernel ks) in
         if v > !sbest then begin
           incr simproves;
           sbest := v;
@@ -181,13 +210,13 @@ let search ?pool ?spawn_depth ~budget ~kernel:kn0 ~k ~seed () =
           ignore (Engine.Bound.improve shared v)
         end
       end
-      else if Kernel.killed ks + top_deg.(start).(k - depth) > !sbest then
+      else if potential ks ~start ~m:(k - depth) > !sbest then
         for nd = start to n - (k - depth) do
           if not !struncated then begin
             spath.(depth) <- nd;
-            Kernel.add ks nd;
+            Kernel.Finishers.add ks nd;
             sgo (nd + 1) (depth + 1);
-            Kernel.remove ks nd;
+            Kernel.Finishers.remove ks nd;
             incr sundos;
             if depth + 1 > !smax_undo then smax_undo := depth + 1
           end
@@ -212,7 +241,7 @@ let search ?pool ?spawn_depth ~budget ~kernel:kn0 ~k ~seed () =
     | None ->
         let sc =
           {
-            st = Kernel.copy kn0;
+            fs = Kernel.Finishers.copy fs0;
             path = Array.make k 0;
             plen = 0;
             quota = 0;
@@ -247,25 +276,28 @@ let search ?pool ?spawn_depth ~budget ~kernel:kn0 ~k ~seed () =
     let c = ref 0 in
     while !c < sc.plen && !c < pl && sc.path.(!c) = prefix.(!c) do incr c done;
     for i = sc.plen - 1 downto !c do
-      Kernel.remove sc.st sc.path.(i)
+      Kernel.Finishers.remove sc.fs sc.path.(i)
     done;
     for i = !c to pl - 1 do
       sc.path.(i) <- prefix.(i);
-      Kernel.add sc.st prefix.(i)
+      Kernel.Finishers.add sc.fs prefix.(i)
     done;
     sc.plen <- pl
   in
   (* Publish-only greedy completion of the applied prefix: raises the
-     shared pruning bound and records nothing (see header). *)
+     shared pruning bound and records nothing (see header).  It runs on
+     the bare kernel and removes its picks again, so the hits, and with
+     them the finisher counts, are back where they were. *)
   let probe sc =
     let picks = k - sc.plen in
     if picks > 0 then begin
-      let sel, _ = Kernel.select_greedy sc.st ~picks in
-      let v = Kernel.killed sc.st in
+      let st = Kernel.Finishers.kernel sc.fs in
+      let sel, _ = Kernel.select_greedy st ~picks in
+      let v = Kernel.killed st in
       if Engine.Bound.improve shared v then
         sc.publications <- sc.publications + 1;
       for i = Array.length sel - 1 downto 0 do
-        Kernel.remove sc.st sel.(i)
+        Kernel.remove st sel.(i)
       done;
       sc.completions <- sc.completions + 1
     end
@@ -278,7 +310,8 @@ let search ?pool ?spawn_depth ~budget ~kernel:kn0 ~k ~seed () =
       retarget sc task_prefixes.(idx);
       if sc.tasks_run land 31 = 0 then probe sc;
       sc.tasks_run <- sc.tasks_run + 1;
-      let st = sc.st in
+      let fs = sc.fs in
+      let st = Kernel.Finishers.kernel fs in
       let local_best = ref seed and local_set = ref None in
       let rec go start depth =
         if sc.quota <= 0 then refill sc;
@@ -297,14 +330,14 @@ let search ?pool ?spawn_depth ~budget ~kernel:kn0 ~k ~seed () =
             end
           end
           else begin
-            let pot = Kernel.killed st + top_deg.(start).(k - depth) in
+            let pot = potential fs ~start ~m:(k - depth) in
             if pot > !local_best && pot >= Engine.Bound.get shared then
               for nd = start to n - (k - depth) do
                 if not sc.dead then begin
                   sc.path.(depth) <- nd;
-                  Kernel.add st nd;
+                  Kernel.Finishers.add fs nd;
                   go (nd + 1) (depth + 1);
-                  Kernel.remove st nd;
+                  Kernel.Finishers.remove fs nd;
                   sc.undos <- sc.undos + 1;
                   if depth + 1 > sc.max_undo_depth then
                     sc.max_undo_depth <- depth + 1
@@ -344,7 +377,7 @@ let search ?pool ?spawn_depth ~budget ~kernel:kn0 ~k ~seed () =
   let improvements = ref !simproves and completions = ref 0 in
   let publications = ref 0 in
   let undos = ref !sundos and max_undo_depth = ref !smax_undo in
-  let kernel_updates = ref (Kernel.updates ks) in
+  let kernel_updates = ref (Kernel.updates (Kernel.Finishers.kernel ks)) in
   Array.iter
     (function
       | None -> ()
@@ -358,7 +391,8 @@ let search ?pool ?spawn_depth ~budget ~kernel:kn0 ~k ~seed () =
           undos := !undos + sc.undos;
           if sc.max_undo_depth > !max_undo_depth then
             max_undo_depth := sc.max_undo_depth;
-          kernel_updates := !kernel_updates + Kernel.updates sc.st)
+          kernel_updates :=
+            !kernel_updates + Kernel.updates (Kernel.Finishers.kernel sc.fs))
     scratches;
   let stats =
     {

@@ -3,7 +3,10 @@
 
     [search ~budget ~kernel ~k ~seed ()] explores every k-subset of the
     kernel's units for the one killing the most objects, pruned by the
-    degree-sum bound, seeded by a caller-supplied incumbent value
+    smaller of two admissible bounds on what the remaining picks can
+    still kill — the degree sum ({!top_degrees}) and Lemma 2's counting
+    bound ({!counting_bound}: finisher counts plus pair co-occurrence)
+    — and seeded by a caller-supplied incumbent value
     (normally the greedy attack's).  A deterministic sequential spawn
     phase cuts the tree at a spawn depth that is a pure function of the
     instance; the surviving prefixes become tasks drained through
@@ -28,7 +31,7 @@ type stats = {
   spawned_tasks : int;  (** tasks emitted by the spawn phase — Stable *)
   nodes : int;  (** search-tree nodes expanded (spawn + tasks) — Volatile *)
   leaves : int;  (** full k-sets evaluated — Volatile *)
-  prunes : int;  (** subtrees cut by the degree-sum bound — Volatile *)
+  prunes : int;  (** subtrees cut by the bound — Volatile *)
   improvements : int;  (** strict best-so-far improvements at leaves — Volatile *)
   completions : int;  (** greedy completion probes run — Volatile *)
   bound_publications : int;
@@ -52,10 +55,23 @@ type result = {
 
 val top_degrees : degrees:int array -> n:int -> k:int -> int array array
 (** [(top_degrees ~degrees ~n ~k).(start).(m)]: the sum of the [m]
-    largest entries of [degrees] among units with id >= [start] — the
-    optimistic-damage bound the search prunes with.  One O(n·k) suffix
+    largest entries of [degrees] among units with id >= [start] — one
+    of the two optimistic-damage bounds the search prunes with (it
+    takes the smaller of this and {!counting_bound}).  One O(n·k) suffix
     sweep; exposed so tests and benches can run frozen reference
     searches against the exact same bound. *)
+
+val counting_bound :
+  Kernel.Finishers.t -> pair:int array -> start:int -> m:int -> int
+(** [counting_bound fs ~pair ~start ~m]: the sum of the [m] largest
+    finisher counts among units >= [start]
+    ({!Kernel.Finishers.top_fin}), plus, when s >= 2,
+    C(m, 2) · [pair.(start)] with [pair = Kernel.Finishers.pairs fs] —
+    an upper bound on the objects that [m] more picks from units
+    >= [start] kill beyond [fs]'s current state (Lemma 2's counting
+    argument).  The search prunes with [killed] plus the smaller of
+    this and {!top_degrees}; exposed so tests can check it against
+    brute force. *)
 
 val default_spawn_depth : n:int -> k:int -> int
 (** The spawn depth [search] uses when none is forced: the smallest
@@ -72,7 +88,10 @@ val search :
   unit ->
   result
 (** Run the frontier.  [kernel] must be all-up (no units failed); it is
-    only read ({!Kernel.copy} snapshots), never mutated.  [seed] is the
+    only read ({!Kernel.Finishers.copy} snapshots), never mutated.  Each
+    kernel copy the search owns keeps its finisher counts exact through
+    {!Kernel.Finishers}; the pair co-occurrence suffix is built once per
+    search (only when k >= 2 and s >= 2).  [seed] is the
     incumbent damage value to strictly beat — the caller keeps the
     corresponding attack and substitutes it when [set = None].
     [spawn_depth] is clamped to [1, k]; [~spawn_depth:k] runs the whole

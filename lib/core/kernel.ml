@@ -573,3 +573,261 @@ module Dyn = struct
     done;
     (picks, !dead, !updates)
 end
+
+(* ------------------------------------------------------------------ *)
+(* Finisher counts: the per-unit half of the branch-and-bound's
+   counting bound (Bb, DESIGN.md §15).
+
+   fin(u) counts the live objects unit u would kill on its own: objects
+   at h < s hits of which u holds at least s − h replicas.  An object
+   with h hits contributes to a host holding m of its replicas exactly
+   when s − m <= h < s, so a hit step h-1 → h changes a contribution
+   only at two points: when h reaches s (every host loses the object)
+   and when h reaches s − m (a host holding m replicas gains it).  A
+   step therefore patches the distinct hosts of one object at most once,
+   and an undo patches them back.
+
+   Node kernels hold one replica per host, so they read the kernel's own
+   host lists (the layout's replica table) with multiplicity 1; other
+   kernels (a unit holding two replicas of one object, or a node in no
+   unit) build the flat (unit, multiplicity) table, once, shared by
+   every copy. *)
+
+module Finishers = struct
+  type nonrec t = {
+    kn : kernel;
+    fin : int array;  (* unit -> live objects it kills on its own *)
+    off : int array;  (* shared: object -> first host in [tab_*]; [||] = none *)
+    tab_unit : int array;  (* shared: distinct host units, per object *)
+    tab_mult : int array;  (* shared: replicas that host holds *)
+    top : int array;  (* scratch for [top_fin] *)
+  }
+
+  let kernel t = t.kn
+  let fin t u = t.fin.(u)
+
+  (* The distinct units among [obj]'s host entries (entries in no unit
+     skipped). *)
+  let distinct (kn : kernel) obj =
+    let hs = kn.hosts.(obj) and unit_of = kn.unit_of in
+    let c = ref 0 in
+    for i = 0 to Array.length hs - 1 do
+      let u = unit_of.(hs.(i)) in
+      if u >= 0 then begin
+        let first = ref true in
+        for j = 0 to i - 1 do
+          if unit_of.(hs.(j)) = u then first := false
+        done;
+        if !first then incr c
+      end
+    done;
+    !c
+
+  (* The flat (unit, multiplicity) table: [distinct] sizes [off], a fill
+     pass merges each object's repeated hosts in place. *)
+  let host_table (kn : kernel) =
+    let b = kn.b and hosts = kn.hosts and unit_of = kn.unit_of in
+    let off = Array.make (b + 1) 0 in
+    for obj = 0 to b - 1 do
+      off.(obj + 1) <- off.(obj) + distinct kn obj
+    done;
+    let tab_unit = Array.make off.(b) 0 and tab_mult = Array.make off.(b) 0 in
+    for obj = 0 to b - 1 do
+      let hs = hosts.(obj) and next = ref off.(obj) in
+      for i = 0 to Array.length hs - 1 do
+        let u = unit_of.(hs.(i)) in
+        if u >= 0 then begin
+          let j = ref off.(obj) in
+          while !j < !next && tab_unit.(!j) <> u do incr j done;
+          if !j = !next then begin
+            tab_unit.(!j) <- u;
+            incr next
+          end;
+          tab_mult.(!j) <- tab_mult.(!j) + 1
+        end
+      done
+    done;
+    (off, tab_unit, tab_mult)
+
+  (* Add [d] to fin of every distinct host of [obj] holding exactly [m]
+     of its replicas, or of every host when [m = 0].  Inlined: it runs
+     once per row entry of every add and remove. *)
+  let[@inline] patch t obj ~m d =
+    let fin = t.fin in
+    if Array.length t.off = 0 then begin
+      if m <= 1 then begin
+        let hs = Array.unsafe_get t.kn.hosts obj and unit_of = t.kn.unit_of in
+        for j = 0 to Array.length hs - 1 do
+          let v = Array.unsafe_get unit_of (Array.unsafe_get hs j) in
+          Array.unsafe_set fin v (Array.unsafe_get fin v + d)
+        done
+      end
+    end
+    else begin
+      let tab_unit = t.tab_unit and tab_mult = t.tab_mult in
+      for j = Array.unsafe_get t.off obj
+          to Array.unsafe_get t.off (obj + 1) - 1 do
+        if m = 0 || Array.unsafe_get tab_mult j = m then begin
+          let v = Array.unsafe_get tab_unit j in
+          Array.unsafe_set fin v (Array.unsafe_get fin v + d)
+        end
+      done
+    end
+
+  let make kn =
+    let n = units kn and s = kn.s in
+    (* The direct path needs every host entry in a unit of its own. *)
+    let off, tab_unit, tab_mult =
+      let rec direct obj =
+        obj = kn.b
+        || (distinct kn obj = Array.length kn.hosts.(obj) && direct (obj + 1))
+      in
+      if direct 0 then ([||], [||], [||]) else host_table kn
+    in
+    let t =
+      { kn; fin = Array.make n 0; off; tab_unit; tab_mult; top = Array.make n 0 }
+    in
+    (* Seed from the current hits: an object at h < s hits counts for
+       every host holding at least s − h of its replicas. *)
+    for obj = 0 to kn.b - 1 do
+      let h = kn.hits.{obj} in
+      if Array.length off = 0 then begin
+        if h = s - 1 then patch t obj ~m:1 1
+      end
+      else if h < s then
+        for j = off.(obj) to off.(obj + 1) - 1 do
+          if h + tab_mult.(j) >= s then
+            t.fin.(tab_unit.(j)) <- t.fin.(tab_unit.(j)) + 1
+        done
+    done;
+    t
+
+  let copy t =
+    {
+      t with
+      kn = copy t.kn;
+      fin = Array.copy t.fin;
+      top = Array.make (Array.length t.top) 0;
+    }
+
+  (* Kernel.add's loop plus the two patch points per hit step. *)
+  let add t u =
+    let kn = t.kn in
+    check_unit kn u "Finishers.add";
+    if Combin.Bitset.mem kn.failed u then
+      invalid_arg "Kernel.Finishers.add: unit already failed";
+    Combin.Bitset.add kn.failed u;
+    kn.updates <- kn.updates + 1;
+    let hits = kn.hits and s = kn.s in
+    let row = kn.csr.Combin.Csr.row_ptr and ents = kn.csr.Combin.Csr.entries in
+    let lo = Bigarray.Array1.unsafe_get row u
+    and hi = Bigarray.Array1.unsafe_get row (u + 1) in
+    let killed = ref kn.killed in
+    for i = lo to hi - 1 do
+      let obj = Bigarray.Array1.unsafe_get ents i in
+      let h = Bigarray.Array1.unsafe_get hits obj + 1 in
+      Bigarray.Array1.unsafe_set hits obj h;
+      if h = s then begin
+        incr killed;
+        patch t obj ~m:0 (-1)
+      end
+      else if h < s then patch t obj ~m:(s - h) 1
+    done;
+    kn.killed <- !killed
+
+  let remove t u =
+    let kn = t.kn in
+    check_unit kn u "Finishers.remove";
+    if not (Combin.Bitset.mem kn.failed u) then
+      invalid_arg "Kernel.Finishers.remove: unit not failed";
+    Combin.Bitset.remove kn.failed u;
+    kn.updates <- kn.updates + 1;
+    let hits = kn.hits and s = kn.s in
+    let row = kn.csr.Combin.Csr.row_ptr and ents = kn.csr.Combin.Csr.entries in
+    let lo = Bigarray.Array1.unsafe_get row u
+    and hi = Bigarray.Array1.unsafe_get row (u + 1) in
+    let killed = ref kn.killed in
+    for i = lo to hi - 1 do
+      let obj = Bigarray.Array1.unsafe_get ents i in
+      let h = Bigarray.Array1.unsafe_get hits obj in
+      if h = s then begin
+        decr killed;
+        patch t obj ~m:0 1
+      end
+      else if h < s then patch t obj ~m:(s - h) (-1);
+      Bigarray.Array1.unsafe_set hits obj (h - 1)
+    done;
+    kn.killed <- !killed
+
+  (* One pass over the suffix, keeping the [m] largest counts sorted in
+     the scratch row (insertion is O(m)). *)
+  let top_fin t ~start ~m =
+    let fin = t.fin and top = t.top in
+    let len = ref 0 in
+    for u = start to Array.length fin - 1 do
+      let f = Array.unsafe_get fin u in
+      if !len < m || f > Array.unsafe_get top (m - 1) then begin
+        let i = ref (if !len < m then !len else m - 1) in
+        while !i > 0 && Array.unsafe_get top (!i - 1) < f do
+          Array.unsafe_set top !i (Array.unsafe_get top (!i - 1));
+          decr i
+        done;
+        Array.unsafe_set top !i f;
+        if !len < m then incr len
+      end
+    done;
+    let sum = ref 0 in
+    for i = 0 to !len - 1 do
+      sum := !sum + top.(i)
+    done;
+    !sum
+
+  (* Unit by unit from the top: count, in a scratch row over the units
+     above u, the objects u shares with each, deduplicating u's repeated
+     row entries by an object stamp where multiplicities exist. *)
+  let pairs t =
+    let kn = t.kn in
+    let n = units kn in
+    let pair = Array.make (n + 1) 0 in
+    let cnt = Array.make n 0 and touched = Array.make n 0 in
+    let direct = Array.length t.off = 0 in
+    let seen = if direct then [||] else Array.make kn.b (-1) in
+    let row = kn.csr.Combin.Csr.row_ptr and ents = kn.csr.Combin.Csr.entries in
+    let hosts = kn.hosts and unit_of = kn.unit_of in
+    let best = ref 0 and ntouched = ref 0 in
+    let count u v =
+      if v > u then begin
+        let c = cnt.(v) + 1 in
+        if c = 1 then begin
+          touched.(!ntouched) <- v;
+          incr ntouched
+        end;
+        cnt.(v) <- c;
+        if c > !best then best := c
+      end
+    in
+    for u = n - 1 downto 0 do
+      best := 0;
+      ntouched := 0;
+      for i = Bigarray.Array1.get row u to Bigarray.Array1.get row (u + 1) - 1 do
+        let obj = Bigarray.Array1.get ents i in
+        if direct then begin
+          let hs = hosts.(obj) in
+          for j = 0 to Array.length hs - 1 do
+            count u unit_of.(hs.(j))
+          done
+        end
+        else if seen.(obj) <> u then begin
+          seen.(obj) <- u;
+          for j = t.off.(obj) to t.off.(obj + 1) - 1 do
+            count u t.tab_unit.(j)
+          done
+        end
+      done;
+      for i = 0 to !ntouched - 1 do
+        cnt.(touched.(i)) <- 0
+      done;
+      pair.(u) <- max pair.(u + 1) !best
+    done;
+    pair
+end

@@ -219,3 +219,52 @@ module Dyn : sig
       a time per [t] (DESIGN.md §12).
       @raise Invalid_argument when [k] exceeds the unit count. *)
 end
+
+(** A kernel that also keeps every unit's finisher count: the live
+    objects the unit would kill on its own, i.e. objects at h < s hits
+    of which it holds at least s − h replicas.  On node kernels that is
+    the [newly] of {!marginal}; on domain kernels a unit holding two
+    replicas of an object also finishes it at s − 2 hits.  It is the
+    per-unit half of the exact adversary's counting bound
+    ({!Bb.counting_bound}, DESIGN.md §15).
+
+    {!add} and {!remove} are {!Kernel.add} and {!Kernel.remove} plus a
+    patch of the distinct hosts of each object whose hits cross s − m
+    (hosts holding m replicas) or s, so the counts stay exact through
+    any add/remove sequence.  Node kernels read the kernel's own host
+    lists with multiplicity 1; any kernel where a unit holds two
+    replicas of one object (or a node lies in no unit) builds one flat
+    (unit, multiplicity) table per {!make}, shared by every {!copy}. *)
+module Finishers : sig
+  type t
+
+  val make : kernel -> t
+  (** Wrap a kernel (not copied: further updates must go through this
+      wrapper), seeding the counts from its current hits.  O(b·r²). *)
+
+  val copy : t -> t
+  (** {!Kernel.copy} of the wrapped state plus its counts; the host
+      table is shared. *)
+
+  val kernel : t -> kernel
+  (** The wrapped kernel, for reads and for {!Kernel.select_greedy}
+      excursions that restore the hits before the next {!add}. *)
+
+  val add : t -> int -> unit
+  val remove : t -> int -> unit
+
+  val fin : t -> int -> int
+  (** The finisher count of one unit. *)
+
+  val top_fin : t -> start:int -> m:int -> int
+  (** Sum of the [m] largest finisher counts among units >= [start];
+      one O(units · m) pass, no allocation. *)
+
+  val pairs : t -> int array
+  (** [(pairs t).(start)]: the most objects that any two units
+      [start <= u < v] both host (each object counted once per pair,
+      whatever the multiplicities).  One O(b·r²) sweep into [units + 1]
+      ints plus two unit-sized scratch rows (and an object-sized one
+      when some unit holds two replicas of an object) — never a units²
+      matrix. *)
+end

@@ -7,8 +7,9 @@
 # pinned response digest (a codec byte slip on any serve shape, or a
 # moved greedy pick, fails here), then the CLI gates: a telemetry smoke
 # (--metrics must carry the placement/v1 envelope and the B&B
-# statistics), the exact-attack -j1 ≡ -j4 diff and the frontier
-# counters, a topology smoke (rack adversary vs node adversary sanity
+# statistics), the exact-attack -j1 ≡ -j4 diff, ten exact node and
+# domain attacks pinned in scripts/exact_attacks.expected at -j1 and
+# -j4, and the frontier counters, a topology smoke (rack adversary vs node adversary sanity
 # inequality), a churn smoke (a 10^4-event seeded trace replayed
 # through the continuous engine, diffed byte-for-byte against the
 # pinned envelope in scripts/churn_smoke.expected, a 6000-event trace
@@ -69,11 +70,43 @@ cmp attack_j1.out attack_j4.out ||
   { echo "check.sh: exact attack output differs between -j1 and -j4" >&2; exit 1; }
 rm -f attack_j1.out attack_j4.out
 
+# Exact answers beyond profbench: node attacks and --topology domain
+# attacks (racks holding 2+ replicas of one object under a random
+# placement), s = 2 and 3, r = 3 and 4, every one small enough for the
+# exact path.  The reports, winning sets included, must match the
+# pinned scripts/exact_attacks.expected at -j1 and at -j4.
+exact_attacks() {
+  while read -r args; do
+    echo "# attack $args"
+    # shellcheck disable=SC2086 # $args is a list of options
+    _build/default/bin/placement_tool.exe attack $args -j"$1"
+  done <<'EOF'
+--random 30,300,3,1 -s 2 -k 5
+--random 28,400,4,2 -s 3 -k 5
+--random 26,300,4,3 -s 2 -k 5
+--random 30,500,3,4 -s 3 -k 6
+--random 32,600,3,6 -s 2 -k 5 --topology rack:16/node:2 --fail-domains 5
+--random 36,600,4,7 -s 3 -k 4 --topology rack:12/node:3 --fail-domains 4
+--random 36,600,3,8 -s 3 -k 4 --topology rack:12/node:3 --fail-domains 5
+--random 40,800,4,9 -s 2 -k 3 --topology rack:20/node:2 --fail-domains 6
+--random 48,900,4,11 -s 3 -k 3 --topology rack:24/node:2 --fail-domains 6
+--strategy simple -n 31 -b 155 -r 3 -s 2 -k 4 --topology rack:31/node:1 --fail-domains 4
+EOF
+}
+for jobs in 1 4; do
+  exact_attacks "$jobs" > exact_attacks.out
+  diff scripts/exact_attacks.expected exact_attacks.out ||
+    { echo "check.sh: exact attacks at -j$jobs diverged from scripts/exact_attacks.expected" >&2; exit 1; }
+done
+rm -f exact_attacks.out
+
 # Frontier telemetry: on an instance big enough to actually spawn tasks
 # (n=71: spawn depth 2 < k), the --metrics envelope must carry the new
 # frontier counters — the task count and spawn depth are Stable, the
-# node count rides in the volatile section.
-bb_metrics=$(dune exec bin/placement_tool.exe -- attack --strategy combo \
+# node count rides in the volatile section.  The layout is a random
+# one: on the Combo design of the same shape the counting bound proves
+# the greedy seed optimal at the root, so no task is ever spawned.
+bb_metrics=$(dune exec bin/placement_tool.exe -- attack --strategy random \
   -n 71 -b 2400 -r 3 -s 2 -k 3 --metrics -)
 for counter in 'core/adversary/bb/spawned_tasks' 'core/adversary/bb/spawn_depth' \
   'core/adversary/bb/nodes_expanded'; do

@@ -562,13 +562,20 @@ let test_random_unconstrained_valid () =
 (* ------------------------------------------------------------------ *)
 (* Adversary *)
 
+(* An oracle for the node adversary that shares no code with the
+   search: every k-subset in lexicographic order, scored from scratch
+   with Layout.failed_objects; returns the best value and the first set
+   reaching it. *)
 let brute_force_attack layout ~s ~k =
   let n = layout.Placement.Layout.n in
-  let best = ref (-1) in
+  let best = ref (-1) and best_set = ref [||] in
   Combin.Subset.iter ~n ~k (fun failed ->
       let f = Placement.Layout.failed_objects layout ~s ~failed_nodes:failed in
-      if f > !best then best := f);
-  !best
+      if f > !best then begin
+        best := f;
+        best_set := Array.copy failed
+      end);
+  (!best, !best_set)
 
 let small_layout_gen =
   QCheck2.Gen.(
@@ -590,7 +597,8 @@ let test_adversary_exact_is_optimal =
       else begin
         let exact = Placement.Adversary.exact layout ~s ~k in
         exact.Placement.Adversary.exact
-        && exact.Placement.Adversary.failed_objects = brute_force_attack layout ~s ~k
+        && exact.Placement.Adversary.failed_objects
+           = fst (brute_force_attack layout ~s ~k)
         && Placement.Adversary.eval layout ~s exact.Placement.Adversary.failed_nodes
            = exact.Placement.Adversary.failed_objects
       end)
@@ -694,6 +702,175 @@ let test_exact_budget_starvation () =
   Alcotest.(check (array int)) "same winning set"
     oracle.Placement.Adversary.failed_nodes
     frontier.Placement.Adversary.failed_nodes
+
+let test_adversary_exact_vs_enumeration =
+  qtest ~count:60 "exact = lexicographic enumeration, n<=16"
+    QCheck2.Gen.(
+      let* n = int_range 6 16 in
+      let* r = int_range 2 4 in
+      let* s = int_range 1 r in
+      let* k = int_range 1 (min 5 (n - 1)) in
+      let* b = int_range 1 40 in
+      let* seed = int_range 0 10000 in
+      let rng = Combin.Rng.create seed in
+      let replicas =
+        Array.init b (fun _ -> Combin.Rng.sample_distinct rng ~n ~k:r)
+      in
+      return (Placement.Layout.make ~n ~r replicas, s, k))
+    (fun (layout, s, k) ->
+      let value, set = brute_force_attack layout ~s ~k in
+      let e = Placement.Adversary.exact layout ~s ~k in
+      let g = Placement.Adversary.greedy layout ~s ~k in
+      e.Placement.Adversary.exact
+      && e.Placement.Adversary.failed_objects = value
+      && (value = g.Placement.Adversary.failed_objects
+         || e.Placement.Adversary.failed_nodes = set))
+
+(* Kernels for the counting-bound properties, each with its unit →
+   replica-entry bags for a naive recount: node kernels, domain kernels
+   over a random layout (some nodes in no domain), and multiplicity
+   groups that repeat an object 2–3 times inside one unit. *)
+let bound_kernel_gen =
+  QCheck2.Gen.(
+    let* s = int_range 1 3 in
+    let* seed = int_range 0 10000 in
+    let rng = Combin.Rng.create seed in
+    let* kind = int_range 0 2 in
+    match kind with
+    | 0 | 1 ->
+        let* n = int_range 4 11 in
+        let* r = int_range 2 (min 4 n) in
+        let* b = int_range 1 30 in
+        let replicas =
+          Array.init b (fun _ -> Combin.Rng.sample_distinct rng ~n ~k:r)
+        in
+        let layout = Placement.Layout.make ~n ~r replicas in
+        let node_objs = Placement.Layout.node_objects layout in
+        if kind = 0 then
+          return (Placement.Kernel.make layout ~s, node_objs, seed)
+        else
+          let* units = int_range 2 (min 6 n) in
+          let rack = Array.init n (fun _ -> Combin.Rng.int rng (units + 1)) in
+          let members =
+            Array.init units (fun d ->
+                Array.of_list
+                  (List.filter (fun nd -> rack.(nd) = d) (List.init n Fun.id)))
+          in
+          let groups =
+            Array.map
+              (fun ms ->
+                Array.concat
+                  (List.map (fun nd -> node_objs.(nd)) (Array.to_list ms)))
+              members
+          in
+          return (Placement.Kernel.make ~domains:members layout ~s, groups, seed)
+    | _ ->
+        let* units = int_range 2 9 in
+        let* b = int_range 1 20 in
+        let groups =
+          Array.init units (fun _ ->
+              let k = Combin.Rng.int rng (min b 6) + 1 in
+              let objs = Combin.Rng.sample_distinct rng ~n:b ~k in
+              Array.concat
+                (List.map
+                   (fun obj -> Array.make (1 + Combin.Rng.int rng 3) obj)
+                   (Array.to_list objs)))
+        in
+        return (Placement.Kernel.of_groups ~s ~b groups, groups, seed))
+
+let bag_killed groups ~s set =
+  let counts = Hashtbl.create 16 in
+  List.iter
+    (fun u ->
+      Array.iter
+        (fun obj ->
+          Hashtbl.replace counts obj
+            (1 + Option.value ~default:0 (Hashtbl.find_opt counts obj)))
+        groups.(u))
+    set;
+  Hashtbl.fold (fun _ h acc -> if h >= s then acc + 1 else acc) counts 0
+
+(* Lemma 2's counting bound must dominate the brute-force best of every
+   m-subset of units >= start, after a random ascending prefix reached
+   through extra adds and removes (so both patch directions run). *)
+let test_counting_bound_admissible =
+  qtest ~count:300 "counting bound >= brute force beyond any prefix"
+    bound_kernel_gen
+    (fun (kn, groups, seed) ->
+      let rng = Combin.Rng.create seed in
+      let n = Placement.Kernel.units kn and s = Placement.Kernel.threshold kn in
+      let fs = Placement.Kernel.Finishers.make kn in
+      let pair = Placement.Kernel.Finishers.pairs fs in
+      let depth = Combin.Rng.int rng (min 3 n) in
+      let prefix = Array.to_list (Combin.Rng.sample_distinct rng ~n ~k:depth) in
+      let extra =
+        List.filter
+          (fun u -> not (List.mem u prefix))
+          (Array.to_list
+             (Combin.Rng.sample_distinct rng ~n ~k:(Combin.Rng.int rng n)))
+      in
+      List.iter (Placement.Kernel.Finishers.add fs) (extra @ List.rev prefix);
+      List.iter (Placement.Kernel.Finishers.remove fs) (List.rev extra);
+      let start = List.fold_left (fun acc u -> max acc (u + 1)) 0 prefix in
+      let killed = Placement.Kernel.killed kn in
+      let ok = ref (killed = bag_killed groups ~s prefix) in
+      for m = 1 to min 3 (n - start) do
+        let bound = killed + Placement.Bb.counting_bound fs ~pair ~start ~m in
+        Combin.Subset.iter ~n:(n - start) ~k:m (fun sub ->
+            let set =
+              prefix @ List.map (fun i -> start + i) (Array.to_list sub)
+            in
+            if bag_killed groups ~s set > bound then ok := false)
+      done;
+      !ok)
+
+(* The finisher counts stay exact under random add/remove churn: each
+   unit's count equals a naive recount of the objects below s hits of
+   which it holds at least s − h replicas. *)
+let test_finishers_exact =
+  qtest ~count:150 "Finishers counts = naive recount under churn"
+    bound_kernel_gen
+    (fun (kn, groups, seed) ->
+      let rng = Combin.Rng.create seed in
+      let n = Placement.Kernel.units kn and s = Placement.Kernel.threshold kn in
+      let fs = Placement.Kernel.Finishers.make kn in
+      let failed = Array.make n false in
+      let ok = ref true in
+      for _ = 1 to 30 do
+        let u = Combin.Rng.int rng n in
+        if failed.(u) then Placement.Kernel.Finishers.remove fs u
+        else Placement.Kernel.Finishers.add fs u;
+        failed.(u) <- not failed.(u);
+        let hits = Hashtbl.create 16 in
+        Array.iteri
+          (fun v bag ->
+            if failed.(v) then
+              Array.iter
+                (fun obj ->
+                  Hashtbl.replace hits obj
+                    (1 + Option.value ~default:0 (Hashtbl.find_opt hits obj)))
+                bag)
+          groups;
+        let h obj = Option.value ~default:0 (Hashtbl.find_opt hits obj) in
+        Array.iteri
+          (fun v bag ->
+            let mine = List.sort_uniq compare (Array.to_list bag) in
+            let fin =
+              List.length
+                (List.filter
+                   (fun obj ->
+                     let m =
+                       Array.fold_left
+                         (fun acc o -> if o = obj then acc + 1 else acc)
+                         0 bag
+                     in
+                     h obj < s && h obj + m >= s)
+                   mine)
+            in
+            if Placement.Kernel.Finishers.fin fs v <> fin then ok := false)
+          groups
+      done;
+      !ok)
 
 (* ------------------------------------------------------------------ *)
 (* Kernel *)
@@ -1621,6 +1798,8 @@ let () =
           test_adversary_attack_shape;
           Alcotest.test_case "global budget beats static split" `Quick
             test_exact_budget_starvation;
+          test_adversary_exact_vs_enumeration;
+          test_counting_bound_admissible;
         ] );
       ( "kernel",
         [
@@ -1641,6 +1820,7 @@ let () =
           Alcotest.test_case "dyn worst_case restores its scratch" `Quick
             test_kernel_dyn_worst_case_reset;
           test_kernel_greedy_from_prefix;
+          test_finishers_exact;
         ] );
       ( "codec",
         [

@@ -291,6 +291,29 @@ let test_adversary_greedy_le_exact =
       g.Topology.Adversary.failed_objects
       <= e.Topology.Adversary.failed_objects)
 
+let test_adversary_exhaustive_vs_bb_shared_racks =
+  (* The same contract at s = 3 and on partition trees with 3–5 racks
+     over 12 nodes, where racks hold 2+ replicas of one object: the
+     search's counting bound must respect those multiplicities. *)
+  qtest ~count:40 "exhaustive = branch-and-bound, s=3, shared racks"
+    QCheck2.Gen.(int_range 0 1000)
+    (fun seed ->
+      let rng = Combin.Rng.create seed in
+      let r = 3 + (seed mod 2) in
+      let s = 2 + (seed / 2 mod 2) in
+      let inst = Placement.Instance.make ~b:60 ~r ~s ~n:12 ~k:3 () in
+      let layout = Placement.Instance.random_layout ~rng inst in
+      let domains = 3 + (seed / 4 mod 3) in
+      let tree = Topology.Build.partition ~n:12 ~domains () in
+      let j = 1 + (seed / 12 mod (domains - 1)) in
+      let ex = exhaustive layout ~s tree ~level:1 ~j in
+      let bb = Topology.Adversary.exact layout ~s tree ~level:1 ~j in
+      ex.Topology.Adversary.exact && bb.Topology.Adversary.exact
+      && ex.Topology.Adversary.failed_objects
+         = bb.Topology.Adversary.failed_objects
+      && ex.Topology.Adversary.failed_domains
+         = bb.Topology.Adversary.failed_domains)
+
 let test_adversary_validates () =
   let layout = fig4_layout ~n:31 ~b:600 ~k:3 in
   let tree = Topology.Build.flat 30 in
@@ -484,6 +507,7 @@ let () =
             test_adversary_frontier_spawn_depths;
           test_adversary_greedy_le_exact;
           Alcotest.test_case "validation" `Quick test_adversary_validates;
+          test_adversary_exhaustive_vs_bb_shared_racks;
         ] );
       ( "bound",
         [
