@@ -1,21 +1,29 @@
 (* Per-level state.  Blocks live in a growable pool, [members]: one
    int32 plane off the OCaml heap, block i's r nodes at entries r·i ..
-   r·i+r-1.  Fixed designs are copied in up front; the complete
-   (x = r-1) level appends fresh lexicographic r-subsets on demand.
-   [usage] counts live objects per block; [hist] is a histogram of
-   usages so the maximum (and hence the effective λ) is maintained
-   under both adds and removes.
+   r·i+r-1.  A fixed design streams its blocks straight into [members]
+   up front, sized from its registry entry's block count, with no boxed
+   copy between; the complete (x = r-1) level appends fresh
+   lexicographic r-subsets on demand.  A block's usage counts its live
+   objects; [hist] is a histogram of usages so the maximum (and hence
+   the effective λ) is maintained under both adds and removes.
 
    Node retirement (permanent leave): a block containing a retired node
    is BLOCKED — never routed to — and the churn engine immediately
    re-places every object assigned to it, so outside that transient a
-   blocked block always has usage 0.  [blocked] counts retired members
-   per block (a node may rejoin, unblocking blocks that contain no other
+   blocked block always has usage 0.  A block's blocked count is its
+   number of retired members (a node may rejoin, unblocking blocks that contain no other
    retired node); [nblocked] is the number of blocked blocks, so the
    eligible pool size is nblocks - nblocked.  Since blocked blocks sit
    at usage 0 in steady state, the usage histogram (which only tracks
    usage >= 1) and hence the effective λ accounting are untouched.
-   A retire or rejoin finds the node's blocks in one scan of [members].
+   Usage and blocked count share one word per block in [cells].
+   A retire or rejoin finds the node's blocks through [incidence], a
+   node -> blocks index in CSR form: two int32 planes built by one
+   counting sort over [members] on the first retire or rejoin (a level
+   that never loses a node never pays for it), and rebuilt by the next
+   one once the lazy level's pool has grown past what it covers.  Its
+   cost is then the node's blocks, one [cells] word and one min-index
+   leaf each, not the design.
 
    Min-index: "the lowest-index eligible block with usage below a
    threshold" is answered in O(log nblocks) by a min-tree over 64-block
@@ -24,8 +32,12 @@
    the minimum of its children.  A query descends to the leftmost chunk
    whose minimum is below the threshold and scans at most 64 keys.
    Chunked leaves keep the index at ~2·nblocks/64 words (64 KB for the
-   166,167 blocks of STS(999)); an update rescans one chunk and walks up
-   until an ancestor is unchanged.
+   166,167 blocks of STS(999)).  An update changes one key, and every
+   key in a chunk is at least its leaf's old minimum: a key at or below
+   that minimum is the new one, a key above it leaves the minimum in
+   place as soon as another block of the chunk holds it, and only
+   otherwise is the chunk rescanned.  A changed leaf walks up until an
+   ancestor is unchanged.
 
    Open list: the blocks that ended an occupy or vacate below the
    maximum usage, newest first, linked from [head] through [next] and
@@ -34,18 +46,23 @@
    at most one entry per block and needs no compaction. *)
 type plane = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
+(* Node nd's blocks are [blocks] entries [start.{nd}] ..
+   [start.{nd+1}] - 1, ascending, over the first [built] pool blocks. *)
+type incidence = { start : plane; blocks : plane; built : int }
+
 type level_state = {
   spec : Combo.level;
   mutable members : plane;  (* r entries per block; grows for the lazy level *)
   mutable nblocks : int;
-  mutable usage : int array;  (* its length is the pool's capacity *)
+  mutable cells : int array;
+      (* per block, usage in the low [blocked_shift] bits and the
+         blocked count above them; its length is the pool's capacity *)
   mutable hist : int array;  (* hist.(u) = #blocks with usage u, u >= 1 *)
   mutable max_usage : int;
   mutable live : int;  (* objects at this level *)
   mutable head : int;  (* the open list's newest block, -1 when empty *)
   mutable next : plane;
   mutable prev : plane;
-  mutable blocked : int array;  (* retired member nodes per block *)
   mutable nblocked : int;  (* blocks with blocked > 0 *)
   mutable tree : int array;
       (* the min-index: chunk c's minimum at [leaves + c], node i's
@@ -55,6 +72,7 @@ type level_state = {
       (* lazy block source; a persistent Seq (not a closure) so
          {!choose_slot} can walk the upcoming blocks without consuming
          them *)
+  mutable incidence : incidence option;  (* None until a retire or rejoin *)
 }
 
 type assignment = { level : int; block : int }
@@ -92,11 +110,19 @@ let row t st i = Array.init t.r (fun j -> get st.members ((t.r * i) + j))
 let blocked_count retired block =
   Array.fold_left (fun acc nd -> if retired.(nd) then acc + 1 else acc) 0 block
 
+let blocked_shift = 32
+let usage st i = st.cells.(i) land ((1 lsl blocked_shift) - 1)
+let blocked st i = st.cells.(i) lsr blocked_shift
+
+let imin (a : int) b = if a < b then a else b
+
 let chunk_bits = 6
 let chunk = 1 lsl chunk_bits
 
 (* A block's key in the min-index: no threshold admits a blocked block. *)
-let seg_key st i = if st.blocked.(i) > 0 then max_int else st.usage.(i)
+let seg_key st i =
+  let c = st.cells.(i) in
+  if c lsr blocked_shift > 0 then max_int else c
 
 let chunk_min st c =
   let lo = c lsl chunk_bits in
@@ -124,18 +150,46 @@ let build_index st =
   st.tree <- tree;
   st.leaves <- leaves
 
-(* Re-derive the chunk holding block [i] after its key changed, then
-   each ancestor until one keeps its value. *)
+(* Re-derive the chunk holding block [i] after its key (and no other)
+   changed, then each ancestor until one keeps its value.  A key at or
+   below the leaf's old minimum is the new minimum; above it, the scan
+   stops at the first other block still holding the old minimum, and
+   only a chunk with none left yields its new minimum.  The scan starts
+   next to [i] and wraps round the chunk: [i]'s neighbours share its
+   cache line, and on a create they are the blocks the lowest-index
+   fill has not reached yet, still at the old minimum. *)
 let refresh st i =
   let c = i lsr chunk_bits in
   let node = ref (st.leaves + c) in
-  let m = chunk_min st c in
-  if st.tree.(!node) <> m then begin
+  let old = st.tree.(!node) in
+  let key = seg_key st i in
+  let m =
+    if key <= old then key
+    else begin
+      let lo = c lsl chunk_bits in
+      let stop = imin st.nblocks (lo + chunk) in
+      let m = ref key and j = ref i and left = ref (stop - lo - 1) in
+      while !left > 0 do
+        j := if !j + 1 = stop then lo else !j + 1;
+        let kj = seg_key st !j in
+        if kj = old then begin
+          m := old;
+          left := 0
+        end
+        else begin
+          if kj < !m then m := kj;
+          decr left
+        end
+      done;
+      !m
+    end
+  in
+  if old <> m then begin
     st.tree.(!node) <- m;
     let changed = ref true in
     while !changed && !node > 1 do
       node := !node lsr 1;
-      let v = min st.tree.(2 * !node) st.tree.(2 * !node + 1) in
+      let v = imin st.tree.(2 * !node) st.tree.(2 * !node + 1) in
       if st.tree.(!node) = v then changed := false else st.tree.(!node) <- v
     done
   end
@@ -171,17 +225,16 @@ let push st i =
   st.head <- i
 
 let grow_pool t st block =
-  if st.nblocks = Array.length st.usage then begin
+  if st.nblocks = Array.length st.cells then begin
     let cap = max 8 (2 * st.nblocks) in
-    st.usage <- Array.append st.usage (Array.make (cap - st.nblocks) 0);
-    st.blocked <- Array.append st.blocked (Array.make (cap - st.nblocks) 0);
+    st.cells <- Array.append st.cells (Array.make (cap - st.nblocks) 0);
     st.members <- grown st.members (cap * t.r) 0;
     st.next <- grown st.next cap unlisted;
     st.prev <- grown st.prev cap unlisted
   end;
   Array.iteri (fun j nd -> set st.members ((t.r * st.nblocks) + j) nd) block;
   let bc = blocked_count t.retired block in
-  st.blocked.(st.nblocks) <- bc;
+  st.cells.(st.nblocks) <- bc lsl blocked_shift;
   if bc > 0 then st.nblocked <- st.nblocked + 1;
   st.nblocks <- st.nblocks + 1;
   let i = st.nblocks - 1 in
@@ -207,47 +260,67 @@ let hist_remove st u =
     done
   end
 
-(* The materialized design is copied into the plane once and dropped. *)
+(* A fixed design's blocks, streamed into a plane of [e.blocks] rows
+   with the checks {!Designs.Registry.materialize} makes: each block
+   sorted, distinct and within the design's points, and as many blocks
+   as the entry counts. *)
+let fill_plane ~r (e : Designs.Registry.entry) iter =
+  let nblocks = e.Designs.Registry.blocks in
+  let mismatch () =
+    failwith ("Adaptive: generator mismatch for " ^ e.Designs.Registry.name)
+  in
+  let members = plane (max 1 nblocks * r) 0 in
+  let count = ref 0 in
+  iter (fun blk ->
+      if !count = nblocks then mismatch ();
+      if Array.length blk <> r then
+        invalid_arg "Adaptive: design block of wrong size";
+      let base = r * !count in
+      let prev = ref (-1) in
+      for j = 0 to r - 1 do
+        let nd = blk.(j) in
+        if nd <= !prev || nd >= e.Designs.Registry.v then
+          invalid_arg "Adaptive: design block not sorted, distinct and in range";
+        set members (base + j) nd;
+        prev := nd
+      done;
+      incr count);
+  if !count <> nblocks then mismatch ();
+  (members, nblocks)
+
 let make_level ~r (spec : Combo.level) =
-  let fixed_blocks, fresh =
+  let (members, nblocks), fresh =
     match spec.Combo.entry with
     | Some e when e.Designs.Registry.strength = e.Designs.Registry.block_size ->
         (* Complete level: stream r-subsets of the v points lazily. *)
-        ( [||],
+        ( (plane r 0, 0),
           Some
             (ref
                (Designs.Trivial.subsets_seq ~v:e.Designs.Registry.v
                   ~r:e.Designs.Registry.block_size)) )
-    | Some e when Designs.Registry.is_materialized e ->
-        ((Designs.Registry.materialize e).Designs.Block_design.blocks, None)
-    | Some _ | None -> ([||], None)
+    | Some ({ Designs.Registry.source = Materialized iter; _ } as e) ->
+        (fill_plane ~r e iter, None)
+    | Some { Designs.Registry.source = Literature _; _ } | None ->
+        ((plane r 0, 0), None)
   in
-  let nblocks = Array.length fixed_blocks in
   let cap = max 1 nblocks in
-  let members = plane (cap * r) 0 in
-  for i = 0 to nblocks - 1 do
-    let block = fixed_blocks.(i) in
-    for j = 0 to r - 1 do
-      set members ((r * i) + j) block.(j)
-    done
-  done;
   let st =
     {
       spec;
       members;
       nblocks;
-      usage = Array.make cap 0;
+      cells = Array.make cap 0;
       hist = Array.make 4 0;
       max_usage = 0;
       live = 0;
       head = -1;
       next = plane cap unlisted;
       prev = plane cap unlisted;
-      blocked = Array.make cap 0;
       nblocked = 0;
       tree = [||];
       leaves = 0;
       fresh;
+      incidence = None;
     }
   in
   build_index st;
@@ -437,22 +510,22 @@ let peek t =
 
 let occupy t x block =
   let st = t.levels.(x) in
-  let old = st.usage.(block) in
-  st.usage.(block) <- old + 1;
+  let old = usage st block in
+  st.cells.(block) <- st.cells.(block) + 1;
   hist_remove st old;
   hist_add st (old + 1);
   refresh st block;
-  if st.usage.(block) < st.max_usage then push st block;
+  if usage st block < st.max_usage then push st block;
   st.live <- st.live + 1
 
 let vacate t x block =
   let st = t.levels.(x) in
-  let old = st.usage.(block) in
-  st.usage.(block) <- old - 1;
+  let old = usage st block in
+  st.cells.(block) <- st.cells.(block) - 1;
   hist_remove st old;
   hist_add st (old - 1);
   refresh st block;
-  if st.usage.(block) < st.max_usage then push st block;
+  if usage st block < st.max_usage then push st block;
   st.live <- st.live - 1
 
 let add t =
@@ -494,22 +567,51 @@ let replace t id =
   occupy t x block;
   Hashtbl.replace t.assignments id { level = x; block }
 
+(* The level's incidence by counting sort over [members]: count each
+   node's entries, take prefix sums, then deal the blocks out in pool
+   order, so each node's list is ascending. *)
+let build_incidence t st =
+  let len = st.nblocks * t.r in
+  let start = plane (t.n + 1) 0 in
+  for j = 0 to len - 1 do
+    let nd = get st.members j + 1 in
+    set start nd (get start nd + 1)
+  done;
+  for nd = 1 to t.n do
+    set start nd (get start nd + get start (nd - 1))
+  done;
+  let cursor = Array.init t.n (get start) in
+  let blocks = plane len 0 in
+  for j = 0 to len - 1 do
+    let nd = get st.members j in
+    set blocks cursor.(nd) (j / t.r);
+    cursor.(nd) <- cursor.(nd) + 1
+  done;
+  { start; blocks; built = st.nblocks }
+
+(* The level's incidence, rebuilt when the pool has grown since. *)
+let incidence t st =
+  match st.incidence with
+  | Some inc when inc.built = st.nblocks -> inc
+  | Some _ | None ->
+      let inc = build_incidence t st in
+      st.incidence <- Some inc;
+      inc
+
 (* Every block holding [nd] gains ([delta] = 1) or loses ([delta] = -1)
    one retired member; a block whose count crosses between 0 and 1
-   turns blocked or unblocked, and is refreshed.  One pass over each
-   level's plane: entry j belongs to block j / r. *)
+   turns blocked or unblocked, and is refreshed. *)
 let shift_blocked t nd delta =
-  let edge = if delta > 0 then 1 else 0 in
+  let edge = if delta > 0 then 1 else 0 and step = delta lsl blocked_shift in
   Array.iter
     (fun st ->
-      for j = 0 to (st.nblocks * t.r) - 1 do
-        if get st.members j = nd then begin
-          let i = j / t.r in
-          st.blocked.(i) <- st.blocked.(i) + delta;
-          if st.blocked.(i) = edge then begin
-            st.nblocked <- st.nblocked + delta;
-            refresh st i
-          end
+      let inc = incidence t st in
+      for p = get inc.start nd to get inc.start (nd + 1) - 1 do
+        let i = get inc.blocks p in
+        st.cells.(i) <- st.cells.(i) + step;
+        if blocked st i = edge then begin
+          st.nblocked <- st.nblocked + delta;
+          refresh st i
         end
       done)
     t.levels
@@ -574,28 +676,28 @@ let check_invariants t =
       let live = ref 0 and maxu = ref 0 and nblocked = ref 0 in
       let listed = ref 0 in
       for i = 0 to st.nblocks - 1 do
-        ensure (st.usage.(i) = recount.(x).(i)) "usage mismatch";
+        ensure (usage st i = recount.(x).(i)) "usage mismatch";
         let block = row t st i in
         ensure
           (Array.for_all (fun nd -> nd >= 0 && nd < t.n) block
           && Combin.Intset.is_sorted_distinct block)
           "block members out of range or repeated";
         ensure
-          (st.blocked.(i) = blocked_count t.retired block)
+          (blocked st i = blocked_count t.retired block)
           "blocked count mismatch";
-        if st.blocked.(i) > 0 then begin
+        if blocked st i > 0 then begin
           incr nblocked;
-          ensure (st.usage.(i) = 0) "blocked block still holds objects"
+          ensure (usage st i = 0) "blocked block still holds objects"
         end;
         if get st.prev i <> unlisted then incr listed;
-        live := !live + st.usage.(i);
-        if st.usage.(i) > !maxu then maxu := st.usage.(i)
+        live := !live + usage st i;
+        if usage st i > !maxu then maxu := usage st i
       done;
       ensure (st.live = !live) "live count mismatch";
       ensure (st.max_usage = !maxu) "max usage mismatch";
       ensure (st.nblocked = !nblocked) "blocked block tally mismatch";
       (* The min-index against a recount from usage and blocked. *)
-      let key i = if st.blocked.(i) > 0 then max_int else st.usage.(i) in
+      let key i = if blocked st i > 0 then max_int else usage st i in
       let nchunks = (st.nblocks + chunk - 1) / chunk in
       ensure
         (st.leaves >= max 1 nchunks
@@ -640,5 +742,34 @@ let check_invariants t =
           walk i (get st.next i) (len + 1)
         end
       in
-      ensure (walk (-1) st.head 0 = !listed) "open list misses a listed block")
+      ensure (walk (-1) st.head 0 = !listed) "open list misses a listed block";
+      (* The incidence, when built: walking the blocks it covers in pool
+         order, each member's cursor must meet exactly this block next,
+         and every cursor must end at its node's end. *)
+      Option.iter
+        (fun inc ->
+          ensure
+            (inc.built = st.nblocks
+            || (inc.built < st.nblocks && Option.is_some st.fresh))
+            "incidence stale on a fixed level";
+          ensure
+            (get inc.start 0 = 0 && get inc.start t.n = t.r * inc.built)
+            "incidence lengths do not sum to r·blocks";
+          let cursor = Array.init t.n (get inc.start) in
+          for i = 0 to inc.built - 1 do
+            for j = 0 to t.r - 1 do
+              let nd = get st.members ((t.r * i) + j) in
+              ensure
+                (cursor.(nd) < get inc.start (nd + 1)
+                && get inc.blocks cursor.(nd) = i)
+                "incidence misses a block through its node";
+              cursor.(nd) <- cursor.(nd) + 1
+            done
+          done;
+          for nd = 0 to t.n - 1 do
+            ensure
+              (cursor.(nd) = get inc.start (nd + 1))
+              "incidence lists a block without its node"
+          done)
+        st.incidence)
     t.levels

@@ -24,6 +24,13 @@
       costs O(log blocks) amortized, independent of the population;
     - removing an object frees its block slot for reuse.
 
+    A fixed design's blocks stream from its registry entry straight into
+    the level's int32 block plane, with no boxed design in between.  A
+    node's blocks are found through a node → blocks index built on the
+    level's first {!retire_node} or {!unretire_node} (and rebuilt once
+    the lazy level has grown past it), so membership changes cost the
+    node's blocks, not the design.
+
     The complete (x = r−1) level generates fresh r-subsets lazily, so
     arbitrarily many objects are always placeable.  {!lower_bound} is the
     live Lemma-3 guarantee; {!optimal_bound} re-runs the offline DP at
@@ -75,12 +82,15 @@ val retire_node : t -> int -> unit
     them ({!Dsim.Churn} reads them off {!Kernel.Dyn.row}) — must
     {!replace} (or {!remove}) each of them to restore the invariant that
     blocked blocks hold no objects.  @raise Invalid_argument if the node
-    is out of range or already retired. *)
+    is out of range or already retired.  Costs the node's blocks, plus
+    one counting sort over each level's blocks when its node → blocks
+    index is first needed or the lazy level has grown since. *)
 
 val unretire_node : t -> int -> unit
 (** Undo {!retire_node} (node re-joins): blocks containing no other
-    retired node become eligible again.  @raise Invalid_argument if the
-    node is out of range or not retired. *)
+    retired node become eligible again, at the same cost as
+    {!retire_node}.  @raise Invalid_argument if the node is out of range
+    or not retired. *)
 
 val retired : t -> int -> bool
 (** Whether a node is currently retired — the one record of cluster
@@ -118,5 +128,7 @@ val check_invariants : t -> unit
 (** Internal-consistency check (usage counts vs live assignments, λ
     bookkeeping, every block's members in range and distinct, the
     min-index against a recount and a naive scan, the open list's links
-    in both directions with no block listed twice); raises [Failure] on
-    violation.  O(blocks + live objects).  Test-suite hook. *)
+    in both directions with no block listed twice, and, where a level's
+    node → blocks index is built, each node's list against the blocks
+    it covers); raises [Failure] on violation.  O(blocks + live
+    objects).  Test-suite hook. *)

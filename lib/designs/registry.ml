@@ -1,5 +1,5 @@
 type availability =
-  | Materialized of (unit -> Block_design.t)
+  | Materialized of ((int array -> unit) -> unit)
   | Literature of string
 
 type entry = {
@@ -38,6 +38,24 @@ let mk ~name ~strength ~v ~block_size ~mu source =
     source;
   }
 
+let mismatch name = failwith ("Registry: generator mismatch for " ^ name)
+
+(* An entry whose family is built as a boxed design: its source builds
+   the design, checks its parameters against the entry's, and streams
+   its blocks. *)
+let boxed ~name ~strength ~v ~block_size ~mu gen =
+  mk ~name ~strength ~v ~block_size ~mu
+    (Materialized
+       (fun f ->
+         let d = gen () in
+         if
+           d.Block_design.strength <> strength
+           || d.Block_design.v <> v
+           || d.Block_design.block_size <> block_size
+           || d.Block_design.lambda <> mu
+         then mismatch name;
+         Array.iter f d.Block_design.blocks))
+
 let prime_powers ~max_v =
   List.filter
     (fun q -> Galois.Field.is_prime_power q <> None)
@@ -60,9 +78,9 @@ let t1_entries ~block_size ~max_v =
   while !v <= max_v do
     let v' = !v in
     out :=
-      mk ~name:(Printf.sprintf "partition(%d/%d)" v' block_size) ~strength:1
+      boxed ~name:(Printf.sprintf "partition(%d/%d)" v' block_size) ~strength:1
         ~v:v' ~block_size ~mu:1
-        (Materialized (fun () -> Trivial.partition ~v:v' ~r:block_size))
+        (fun () -> Trivial.partition ~v:v' ~r:block_size)
       :: !out;
     v := !v + block_size
   done;
@@ -79,9 +97,9 @@ let complete_entries ~strength ~max_v =
         | None -> None
         | Some c ->
             Some
-              (mk ~name:(Printf.sprintf "complete(%d,%d)" v r) ~strength ~v
+              (boxed ~name:(Printf.sprintf "complete(%d,%d)" v r) ~strength ~v
                  ~block_size:r ~mu:1
-                 (Materialized (fun () -> Trivial.subsets_design ~v ~r ~count:c))))
+                 (fun () -> Trivial.subsets_design ~v ~r ~count:c)))
     (List.init max_v (fun i -> i + 1))
 
 let sts_entries ~max_v =
@@ -91,16 +109,16 @@ let sts_entries ~max_v =
         Some
           (mk ~name:(Printf.sprintf "STS(%d)" v) ~strength:2 ~v ~block_size:3
              ~mu:1
-             (Materialized (fun () -> Steiner_triple.make v)))
+             (Materialized (Steiner_triple.iter v)))
       else None)
     (List.init max_v (fun i -> i + 1))
 
 let ag_entries ~q ~max_v =
   List.map
     (fun (d, v) ->
-      mk ~name:(Printf.sprintf "AG(%d,%d)" d q) ~strength:2 ~v ~block_size:q
+      boxed ~name:(Printf.sprintf "AG(%d,%d)" d q) ~strength:2 ~v ~block_size:q
         ~mu:1
-        (Materialized (fun () -> Affine.make ~q ~d)))
+        (fun () -> Affine.make ~q ~d))
     (powers_upto q ~from_d:2 ~max_v)
 
 let pg_entries ~q ~max_v =
@@ -111,18 +129,18 @@ let pg_entries ~q ~max_v =
   in
   List.map
     (fun (d, v) ->
-      mk ~name:(Printf.sprintf "PG(%d,%d)" d q) ~strength:2 ~v
+      boxed ~name:(Printf.sprintf "PG(%d,%d)" d q) ~strength:2 ~v
         ~block_size:(q + 1) ~mu:1
-        (Materialized (fun () -> Projective.make ~q ~d)))
+        (fun () -> Projective.make ~q ~d))
     (dims [] 2)
 
 let unital_entry ~q ~max_v =
   let v = Unital.point_count ~q in
   if v <= max_v then
     [
-      mk ~name:(Printf.sprintf "unital(%d)" q) ~strength:2 ~v
+      boxed ~name:(Printf.sprintf "unital(%d)" q) ~strength:2 ~v
         ~block_size:(q + 1) ~mu:1
-        (Materialized (fun () -> Unital.make ~q));
+        (fun () -> Unital.make ~q);
     ]
   else []
 
@@ -157,9 +175,9 @@ let sqs_entries ~max_v =
     (fun v ->
       if v >= 8 && Quadruple.constructible v then
         Some
-          (mk ~name:(Printf.sprintf "SQS(%d)" v) ~strength:3 ~v ~block_size:4
+          (boxed ~name:(Printf.sprintf "SQS(%d)" v) ~strength:3 ~v ~block_size:4
              ~mu:1
-             (Materialized (fun () -> Quadruple.make v)))
+             (fun () -> Quadruple.make v))
       else None)
     (List.init max_v (fun i -> i + 1))
 
@@ -179,9 +197,9 @@ let spherical_entries ~q ~max_v =
   List.map
     (fun (d, p) ->
       let v = p + 1 in
-      mk ~name:(Printf.sprintf "spherical(%d^%d)" q d) ~strength:3 ~v
+      boxed ~name:(Printf.sprintf "spherical(%d^%d)" q d) ~strength:3 ~v
         ~block_size:(q + 1) ~mu:1
-        (Materialized (fun () -> Spherical.make ~q ~d)))
+        (fun () -> Spherical.make ~q ~d))
     (List.filter (fun (_, p) -> p + 1 <= max_v) (powers_upto q ~from_d:2 ~max_v))
 
 let t3_r5_literature ~max_v materialized_vs =
@@ -213,14 +231,13 @@ let s45_literature ~max_v materialized_vs =
 let s45_search ~max_v =
   if max_v >= 11 then
     [
-      mk ~name:"S(4,5,11) [search]" ~strength:4 ~v:11 ~block_size:5 ~mu:1
-        (Materialized
-           (fun () ->
-             match
-               Packing_search.exact_steiner ~strength:4 ~v:11 ~block_size:5 ()
-             with
-             | Some d -> d
-             | None -> failwith "Registry: S(4,5,11) search failed"));
+      boxed ~name:"S(4,5,11) [search]" ~strength:4 ~v:11 ~block_size:5 ~mu:1
+        (fun () ->
+          match
+            Packing_search.exact_steiner ~strength:4 ~v:11 ~block_size:5 ()
+          with
+          | Some d -> d
+          | None -> failwith "Registry: S(4,5,11) search failed");
     ]
   else []
 
@@ -239,10 +256,10 @@ let mobius_mu_entries ~max_mu ~max_v =
           let mu = Mobius_family.mu_of_stab h in
           if mu <= max_mu && mu > 1 then
             Some
-              (mk
+              (boxed
                  ~name:(Printf.sprintf "PGL-orbit 3-(%d,5,%d)" (q + 1) mu)
                  ~strength:3 ~v:(q + 1) ~block_size:5 ~mu
-                 (Materialized (fun () -> Mobius_family.design f s)))
+                 (fun () -> Mobius_family.design f s))
           else None
         end)
       (prime_powers ~max_v)
@@ -259,18 +276,17 @@ let df_entries ~block_size ~max_v covered_vs =
       (fun v ->
         if v <= max_v && not (List.mem v covered_vs) then
           Some
-            (mk
+            (boxed
                ~name:(Printf.sprintf "2-(%d,%d,1) [DF search]" v block_size)
                ~strength:2 ~v ~block_size ~mu:1
-               (Materialized
-                  (fun () ->
-                    match Difference_family.make ~v ~r:block_size () with
-                    | Some d -> d
-                    | None ->
-                        failwith
-                          (Printf.sprintf
-                             "Registry: difference-family search failed for v=%d r=%d"
-                             v block_size))))
+               (fun () ->
+                 match Difference_family.make ~v ~r:block_size () with
+                 | Some d -> d
+                 | None ->
+                     failwith
+                       (Printf.sprintf
+                          "Registry: difference-family search failed for v=%d r=%d"
+                          v block_size)))
         else None)
       (List.filter
          (fun v -> Difference_family.searchable ~v ~r:block_size)
@@ -364,16 +380,16 @@ let best ?(max_mu = 1) ?(include_literature = true) ?(materialized_only = false)
 
 let materialize e =
   match e.source with
-  | Materialized gen ->
-      let d = gen () in
-      if
-        d.Block_design.strength <> e.strength
-        || d.Block_design.v <> e.v
-        || d.Block_design.block_size <> e.block_size
-        || d.Block_design.lambda <> e.mu
-        || Block_design.block_count d <> e.blocks
-      then failwith ("Registry.materialize: generator mismatch for " ^ e.name);
-      d
+  | Materialized iter ->
+      let blocks = Array.make e.blocks [||] in
+      let count = ref 0 in
+      iter (fun blk ->
+          if !count = e.blocks then mismatch e.name;
+          blocks.(!count) <- Array.copy blk;
+          incr count);
+      if !count <> e.blocks then mismatch e.name;
+      Block_design.make ~strength:e.strength ~v:e.v ~block_size:e.block_size
+        ~lambda:e.mu blocks
   | Literature cite ->
       invalid_arg
         (Printf.sprintf "Registry.materialize: %s is literature-only (%s)"

@@ -13,7 +13,12 @@
       capacities; simulations use materialized entries exclusively. *)
 
 type availability =
-  | Materialized of (unit -> Block_design.t)
+  | Materialized of ((int array -> unit) -> unit)
+      (** The design's block iterator: [iter f] calls [f] on each block,
+          sorted, in the design's order, in a scratch array [f] must
+          copy to keep.  The Steiner triple systems stream their blocks
+          without building a boxed design; the other families build one
+          and stream its blocks. *)
   | Literature of string  (** citation *)
 
 type entry = {
@@ -47,7 +52,11 @@ val best :
     largest usable nx).  Ties broken toward larger v, then smaller μ. *)
 
 val materialize : entry -> Block_design.t
-(** @raise Invalid_argument on a literature entry. *)
+(** The boxed design, collected from the entry's iterator in its order.
+    @raise Failure when the generator's parameters or block count
+    disagree with the entry's.
+    @raise Invalid_argument on a literature entry, or on a block that is
+    not sorted, distinct and within [0 .. v-1]. *)
 
 val paper_nx_table :
   unit -> (int * (int * (int * entry option) list) list) list

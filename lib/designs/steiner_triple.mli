@@ -17,6 +17,14 @@ val admissible : int -> bool
 val largest_admissible : int -> int option
 (** Largest admissible [v' <= v] with [v' >= 3]. *)
 
+val iter : int -> (int array -> unit) -> unit
+(** [iter v f] calls [f] on each block of the STS(v), sorted, in the
+    design's order: generation order reversed, which is the order
+    {!make} returns and the order routing sees (the lowest-index block
+    wins ties).  Every block arrives in one scratch array that [f] must
+    copy to keep, so a pass allocates nothing per block.
+    @raise Invalid_argument if [v] is not admissible or [v < 3]. *)
+
 val make : int -> Block_design.t
-(** [make v] is an STS(v).
+(** [make v] is an STS(v): the blocks of {!iter}, copied, in its order.
     @raise Invalid_argument if [v] is not admissible or [v < 3]. *)

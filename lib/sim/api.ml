@@ -245,22 +245,27 @@ let parse_error s line message =
    a bare comma between members, ": " after each key.  Keys are
    literals, each spelled with the separator before it, so nothing is
    escaped at run time but the two strings that come from outside: the
-   event echo and a rejection's message.  Each line gets a fresh
-   buffer, not a shared module-level one: sessions run on several
-   domains at once (the dst pool), and a reused buffer measured no
-   faster. *)
+   event echo and a rejection's message.  {!add_response} writes into
+   the caller's buffer (the serve loop keeps one per session); the
+   string-returning encoders each take a fresh one, never a shared
+   module-level one: sessions run on several domains at once (the dst
+   pool). *)
 
 (* The one envelope writer: [command]'s head, then the data object
    whose members [members] writes. *)
-let envelope command members =
-  let b = Buffer.create 256 in
+let envelope b command members =
   Buffer.add_string b "{\"schema\": \"";
   Buffer.add_string b Placement.Codec.schema;
   Buffer.add_string b "\",\"command\": \"";
   Buffer.add_string b command;
   Buffer.add_string b "\",\"data\": {";
   members b;
-  Buffer.add_string b "}}";
+  Buffer.add_string b "}}"
+
+(* [write b] in a fresh buffer, as a string. *)
+let line write =
+  let b = Buffer.create 256 in
+  write b;
   Buffer.contents b
 
 let int b key v =
@@ -304,9 +309,10 @@ let stats_members b (st : stats) =
   int b ",\"nodes_in_service\": " st.nodes_in_service;
   int b ",\"lower_bound\": " st.lower_bound
 
-let response_to_line = function
+let add_response b resp =
+  (match resp with
   | Applied (step : Churn.step) ->
-      envelope "apply" @@ fun b ->
+      envelope b "apply" @@ fun b ->
       int b "\"seq\": " step.Churn.seq;
       str b ",\"event\": " (Event.to_line step.Churn.event);
       int b ",\"moved\": " step.Churn.moved;
@@ -315,33 +321,39 @@ let response_to_line = function
       int b ",\"failed_nodes\": " step.Churn.failed_nodes;
       int b ",\"lower_bound\": " step.Churn.lower_bound
   | Worst_case { k; attack; worst_available; live } ->
-      envelope "query" @@ fun b ->
+      envelope b "query" @@ fun b ->
       int b "\"query\": \"worst\",\"k\": " k;
       ints b ",\"attack\": " attack;
       int b ",\"worst_available\": " worst_available;
       int b ",\"live\": " live
   | Availability { live; available; failed_nodes; nodes_in_service } ->
-      envelope "query" @@ fun b ->
+      envelope b "query" @@ fun b ->
       int b "\"query\": \"avail\",\"live\": " live;
       int b ",\"available\": " available;
       int b ",\"failed_nodes\": " failed_nodes;
       int b ",\"nodes_in_service\": " nodes_in_service
   | Bound { lower_bound; live } ->
-      envelope "query" @@ fun b ->
+      envelope b "query" @@ fun b ->
       int b "\"query\": \"lower-bound\",\"lower_bound\": " lower_bound;
       int b ",\"live\": " live
   | Advice { nodes; live } ->
-      envelope "query" @@ fun b ->
+      envelope b "query" @@ fun b ->
       ints b "\"query\": \"advise-create\",\"nodes\": " nodes;
       int b ",\"live\": " live
-  | Stats_report st -> envelope "stats" @@ fun b -> stats_members b st
+  | Stats_report st -> envelope b "stats" @@ fun b -> stats_members b st
   | Rejected { line; message } -> (
-      envelope "error" @@ fun b ->
+      envelope b "error" @@ fun b ->
       match line with
       | Some l ->
           int b "\"line\": " l;
           str b ",\"message\": " message
-      | None -> str b "\"message\": " message)
+      | None -> str b "\"message\": " message));
+  Buffer.add_char b '\n'
+
+let response_to_line resp =
+  let b = Buffer.create 256 in
+  add_response b resp;
+  Buffer.sub b 0 (Buffer.length b - 1)
 
 (* Serve's two envelopes of its own, around the stats object. *)
 let stats_in b st =
@@ -350,12 +362,14 @@ let stats_in b st =
   Buffer.add_char b '}'
 
 let snapshot_line ~after_events st =
-  envelope "snapshot" @@ fun b ->
+  line @@ fun b ->
+  envelope b "snapshot" @@ fun b ->
   int b "\"after_events\": " after_events;
   stats_in b st
 
 let summary_line ~reason st =
-  envelope "summary" @@ fun b ->
+  line @@ fun b ->
+  envelope b "summary" @@ fun b ->
   Buffer.add_string b "\"reason\": \"";
   Buffer.add_string b reason;
   Buffer.add_char b '"';

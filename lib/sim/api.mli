@@ -103,12 +103,16 @@ val reject_line : session -> int -> string -> response
     past the daemon's cap, a line over the daemon's length bound) —
     counted as rejected but not as a parse error. *)
 
+val add_response : Buffer.t -> response -> unit
+(** Append the response's [placement/v1] envelope (command [apply],
+    [query], [stats] or [error]) to the buffer as one compact line and
+    its newline — the wire format of the serve protocol.  Written
+    straight into the buffer, byte for byte what
+    [Telemetry.Json.to_string] prints for the same envelope built as a
+    tree. *)
+
 val response_to_line : response -> string
-(** The response's [placement/v1] envelope (command [apply], [query],
-    [stats] or [error]) as one compact line with no trailing newline —
-    the wire format of the serve protocol.  Written straight into a
-    buffer, byte for byte what [Telemetry.Json.to_string] prints for the
-    same envelope built as a tree. *)
+(** {!add_response}'s line without the trailing newline, as a string. *)
 
 val snapshot_line : after_events:int -> stats -> string
 (** The serve daemon's [snapshot] envelope: the stats after

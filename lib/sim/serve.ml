@@ -64,9 +64,12 @@ let run ?max_events ?snapshot_every ?(timeout = 0.) session ~input ~output =
   let applied = ref 0 in
   let finished = ref None in
   let finish reason = if !finished = None then finished := Some reason in
+  let out = Buffer.create 256 in
   let respond resp =
     incr responses;
-    write_all output (Api.response_to_line resp ^ "\n")
+    Buffer.clear out;
+    Api.add_response out resp;
+    write_all output (Buffer.contents out)
   in
   let snapshot () =
     match snapshot_every with

@@ -13,8 +13,9 @@
 # inequality), a churn smoke (a 10^4-event seeded trace replayed
 # through the continuous engine, diffed byte-for-byte against the
 # pinned envelope in scripts/churn_smoke.expected, a 6000-event trace
-# at n=1000, k=8 against scripts/churn_n1000.expected, and one with
-# node leaves and rejoins against scripts/churn_membership.expected),
+# at n=1000, k=8 against scripts/churn_n1000.expected, and two with
+# node leaves and rejoins against scripts/churn_membership.expected
+# and, at n=1000, scripts/churn_n1000_membership.expected),
 # the serve gates
 # (a fixed event+query script answered over stdin must be
 # byte-identical to the batch churn --responses replay, a SIGTERM
@@ -154,6 +155,18 @@ dune exec bin/placement_tool.exe -- churn -n 40 -r 3 -s 2 -k 3 \
 diff scripts/churn_membership.expected churn_membership.json ||
   { echo "check.sh: churn membership run diverged from the pinned envelope (scripts/churn_membership.expected)" >&2; exit 1; }
 rm -f churn_membership.json
+
+# Membership at profbench's engine shape: the gate above runs on the
+# Bose STS(39); this 6000-event trace at n=1000 (203 leaves and 198
+# joins) retires and rejoins nodes of the Bose STS(999), so a leave or
+# join that finds the wrong blocks through the node -> blocks index
+# moves the pinned envelope.
+dune exec bin/placement_tool.exe -- churn -n 1000 -r 3 -s 2 -k 8 \
+  --seed 2 --count 6000 --measure-every 1000 --join-weight 4 \
+  --leave-weight 4 --json > churn_n1000_membership.json
+diff scripts/churn_n1000_membership.expected churn_n1000_membership.json ||
+  { echo "check.sh: churn n=1000 membership run diverged from the pinned envelope (scripts/churn_n1000_membership.expected)" >&2; exit 1; }
+rm -f churn_n1000_membership.json
 
 # Serve gates.  (1) Protocol determinism: a fixed event+query script
 # piped into the serve daemon over stdin must answer byte-identically

@@ -106,6 +106,92 @@ let test_sts_admissible () =
     (Invalid_argument "Steiner_triple.make: v must be >= 3 and 1 or 3 mod 6")
     (fun () -> ignore (Designs.Steiner_triple.make 8))
 
+(* The list-building Bose and Skolem constructions the streamed ones
+   replaced, kept here as the reference order: each prepends its
+   triples, so its array is generation order reversed.  Block order
+   decides routing (the min-index hands out the lowest-index block), so
+   [Steiner_triple.iter] must yield exactly these blocks in exactly
+   this order. *)
+let reference_bose v =
+  let m = v / 3 in
+  let enc i j = (3 * i) + j in
+  let blocks = ref [] in
+  for i = 0 to m - 1 do
+    blocks := [| enc i 0; enc i 1; enc i 2 |] :: !blocks
+  done;
+  let half = (m + 1) / 2 in
+  for i = 0 to m - 1 do
+    for j = i + 1 to m - 1 do
+      let h = (i + j) * half mod m in
+      for level = 0 to 2 do
+        blocks :=
+          Combin.Intset.of_array
+            [| enc i level; enc j level; enc h ((level + 1) mod 3) |]
+          :: !blocks
+      done
+    done
+  done;
+  Array.of_list !blocks
+
+let reference_skolem v =
+  let t = v / 6 in
+  let n2 = 2 * t in
+  let enc i j = 1 + (3 * i) + j in
+  let alpha x = if x mod 2 = 0 then x / 2 else (x / 2) + t in
+  let star i j = alpha ((i + j) mod n2) in
+  let blocks = ref [] in
+  for i = 0 to t - 1 do
+    blocks := [| enc i 0; enc i 1; enc i 2 |] :: !blocks
+  done;
+  for i = t to n2 - 1 do
+    for level = 0 to 2 do
+      blocks :=
+        Combin.Intset.of_array
+          [| 0; enc i level; enc (i - t) ((level + 1) mod 3) |]
+        :: !blocks
+    done
+  done;
+  for i = 0 to n2 - 1 do
+    for j = i + 1 to n2 - 1 do
+      for level = 0 to 2 do
+        blocks :=
+          Combin.Intset.of_array
+            [| enc i level; enc j level; enc (star i j) ((level + 1) mod 3) |]
+          :: !blocks
+      done
+    done
+  done;
+  Array.of_list !blocks
+
+let test_sts_stream_order () =
+  let check v =
+    let reference = if v mod 6 = 3 then reference_bose v else reference_skolem v in
+    let i = ref 0 in
+    Designs.Steiner_triple.iter v (fun blk ->
+        if !i >= Array.length reference then
+          Alcotest.failf "STS(%d): more than %d blocks" v (Array.length reference);
+        if blk <> reference.(!i) then
+          Alcotest.failf "STS(%d): block %d differs from the reference" v !i;
+        incr i);
+    Alcotest.(check int) (Printf.sprintf "STS(%d) block count" v)
+      (Array.length reference) !i
+  in
+  for v = 7 to 301 do
+    if Designs.Steiner_triple.admissible v then check v
+  done;
+  check 999;
+  (* [make] is [iter] collected, and a design for either construction. *)
+  List.iter
+    (fun v ->
+      let d = Designs.Steiner_triple.make v in
+      check_design (Printf.sprintf "STS(%d) made" v) d;
+      let i = ref 0 in
+      Designs.Steiner_triple.iter v (fun blk ->
+          if blk <> d.Designs.Block_design.blocks.(!i) then
+            Alcotest.failf "STS(%d): make's block %d is not iter's" v !i;
+          incr i))
+    [ 7; 9; 13; 15; 19; 21; 69; 73 ]
+
 let test_affine () =
   List.iter
     (fun (q, d) ->
@@ -588,6 +674,7 @@ let () =
           Alcotest.test_case "rounds" `Quick test_trivial_rounds;
           Alcotest.test_case "all subsets" `Quick test_trivial_subsets;
           test_trivial_seq_matches_iter;
+          Alcotest.test_case "STS streamed order" `Quick test_sts_stream_order;
         ] );
       ( "search",
         [

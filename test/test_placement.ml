@@ -435,6 +435,42 @@ let test_adaptive_membership_invariants =
       done;
       A.size t = Hashtbl.length live)
 
+let test_adaptive_incidence_rebuilt () =
+  (* The node -> blocks index is built on the first retire and must be
+     rebuilt once the lazy complete level (s = 3) has grown past it: a
+     stale index misses the new blocks through a retiring node, which
+     check_invariants reports as a blocked count off by one.  Creates
+     grow the lazy level between every retire and rejoin, and the
+     invariants (the index against [members] among them) are checked
+     after every step. *)
+  let module A = Placement.Adaptive in
+  let n = 13 in
+  let t = A.create ~n ~r:3 ~s:3 ~k:2 () in
+  let live = ref [] in
+  let lazy_after_index = ref 0 in
+  let indexed = ref false in
+  for round = 0 to 59 do
+    for _ = 1 to 4 do
+      let id = A.add t in
+      live := id :: !live;
+      if !indexed && A.level_of t id = 2 then incr lazy_after_index;
+      A.check_invariants t
+    done;
+    let nd = round * 5 mod n in
+    if A.retired t nd then A.unretire_node t nd
+    else if A.retired_count t < 3 then begin
+      A.retire_node t nd;
+      indexed := true;
+      List.iter
+        (fun id -> if Array.mem nd (A.replica_set t id) then A.replace t id)
+        (List.rev !live)
+    end;
+    A.check_invariants t
+  done;
+  Alcotest.(check bool) "the lazy level grew after the index was built" true
+    (!lazy_after_index > 20);
+  Alcotest.(check int) "population kept" (List.length !live) (A.size t)
+
 let test_adaptive_hint_list_bounded () =
   (* A delete on a block below the maximum usage pushes it onto the
      open list even when it is already listed, and the create that
@@ -1784,6 +1820,8 @@ let () =
           Alcotest.test_case "ids not reused" `Quick test_adaptive_ids_not_reused;
           test_adaptive_membership_invariants;
           Alcotest.test_case "hint list stays bounded" `Quick test_adaptive_hint_list_bounded;
+          Alcotest.test_case "incidence rebuilt as the lazy level grows" `Quick
+            test_adaptive_incidence_rebuilt;
         ] );
       ( "random_placement",
         [
