@@ -11,17 +11,14 @@ type attack = {
 
 (* Search statistics, registered once per adversary under its own
    prefix ("core/adversary" for nodes, "topology/adversary" for fault
-   domains) — the same search runs behind both.  The B&B frontier (Bb)
+   domains) — the same search runs behind both.  On a pool the B&B (Bb)
    prunes against a shared incumbent that tightens mid-flight, so which
    nodes get explored — and with it every per-node count — is
-   timing-dependent: Volatile.  What stays Stable is the spawn phase (a
-   pure function of the instance): the task count and the spawn depth
-   are bit-identical at any -j, and the determinism suites diff them.
-   Kernel counters (see Kernel and DESIGN.md §10): the greedy paths
-   flush deterministic counts into the Stable [kernel/updates]; the
-   frontier's kernel traffic and undo depth follow its exploration and
-   are Volatile.  Hot loops accumulate plain local ints inside Kernel
-   and Bb and flush here once per search. *)
+   timing-dependent: Volatile.  Kernel counters (see Kernel and
+   DESIGN.md §10): the greedy paths flush deterministic counts into the
+   Stable [kernel/updates]; the search's kernel traffic follows its
+   exploration and is Volatile.  Hot loops accumulate plain local ints
+   inside Kernel and Bb and flush here once per search. *)
 type metrics = {
   flush_greedy : work:int -> updates:int -> unit;
   flush_bb : Bb.stats -> unit;
@@ -33,11 +30,7 @@ let metrics prefix =
   let stable name = Telemetry.Registry.counter (path name) in
   let volatile name = Telemetry.Registry.counter ~kind:Volatile (path name) in
   let runs = stable "greedy/runs" and evals = stable "greedy/marginal_evals"
-  and updates = stable "kernel/updates" and spawned = stable "bb/spawned_tasks"
-  and spawn_depth = Telemetry.Registry.gauge ~kind:Stable (path "bb/spawn_depth")
-  and undo_depth =
-    Telemetry.Registry.histogram ~kind:Volatile (path "kernel/bb_undo_depth")
-  in
+  and updates = stable "kernel/updates" in
   let bb =
     List.map
       (fun (name, get) -> (volatile name, get))
@@ -46,11 +39,7 @@ let metrics prefix =
         ("bb/leaves", fun st -> st.leaves);
         ("bb/bound_prunes", fun st -> st.prunes);
         ("bb/improvements", fun st -> st.improvements);
-        ("bb/completions", fun st -> st.completions);
-        ("bb/bound_publications", fun st -> st.bound_publications);
-        ("bb/steals", fun st -> st.steals);
         ("bb/kernel_updates", fun st -> st.kernel_updates);
-        ("kernel/bb_undos", fun st -> st.undos);
       ]
   in
   {
@@ -60,11 +49,7 @@ let metrics prefix =
         Telemetry.Counter.add evals work;
         Telemetry.Counter.add updates u);
     flush_bb =
-      (fun st ->
-        Telemetry.Gauge.set spawn_depth (float_of_int st.Bb.spawn_depth);
-        Telemetry.Counter.add spawned st.Bb.spawned_tasks;
-        List.iter (fun (c, get) -> Telemetry.Counter.add c (get st)) bb;
-        Telemetry.Histogram.observe undo_depth st.Bb.max_undo_depth);
+      (fun st -> List.iter (fun (c, get) -> Telemetry.Counter.add c (get st)) bb);
     truncations = volatile "bb/truncations";
   }
 
@@ -99,13 +84,13 @@ let search_greedy m kn ~k =
     optimal = false;
   }
 
-(* Greedy runs on a copy: the frontier needs [kn] all-up. *)
-let search_exact ?(budget = 50_000_000) ?spawn_depth ?pool m kn ~k =
+(* Greedy runs on a copy: the search needs [kn] all-up. *)
+let search_exact ?(budget = 50_000_000) ?pool m kn ~k =
   if k = 0 then { units = [||]; killed = 0; optimal = true }
   else begin
     let g = search_greedy m (Kernel.copy kn) ~k in
     let r =
-      Bb.search ?pool ?spawn_depth ~budget ~kernel:kn ~k ~seed:g.killed ()
+      Bb.search ?pool ~budget ~kernel:kn ~k ~seed:g.killed ()
     in
     m.flush_bb r.Bb.stats;
     if r.Bb.truncated then begin
@@ -129,16 +114,9 @@ let of_search r =
 let greedy layout ~s ~k =
   of_search (search_greedy core (Kernel.make layout ~s) ~k)
 
-let exact ?budget ?spawn_depth ?pool layout ~s ~k =
+let exact ?budget ?pool layout ~s ~k =
   if k >= layout.Layout.n then invalid_arg "Adversary.exact: k >= n";
-  of_search
-    (search_exact ?budget ?spawn_depth ?pool core (Kernel.make layout ~s) ~k)
-
-(* The sequential reference oracle: the whole search runs in the
-   deterministic spawn phase ([spawn_depth = k]), with no pool — classic
-   strict-pruning lexicographic DFS.  Tests and benches diff the sharded
-   frontier against this. *)
-let exact_seq ?budget layout ~s ~k = exact ?budget ~spawn_depth:k layout ~s ~k
+  of_search (search_exact ?budget ?pool core (Kernel.make layout ~s) ~k)
 
 (* Returns (passes, swaps): full sweeps of the outer loop and accepted
    swap moves — plain locals, flushed by the caller. *)

@@ -15,9 +15,8 @@
     one search, two telemetry prefixes ({!metrics}).
 
     Both searches are fan-out shaped and accept an optional
-    {!Engine.Pool}: the branch-and-bound runs on the work-stealing
-    sharded frontier ({!Bb}, DESIGN.md §15), the local search
-    parallelizes over restarts.  Results are bit-identical with and
+    {!Engine.Pool}: the branch-and-bound ({!Bb}, DESIGN.md §15)
+    parallelizes over first picks, the local search over restarts.  Results are bit-identical with and
     without a pool, at any pool size — parallelism only changes
     wall-clock (see DESIGN.md §2, "parallelism & determinism"). *)
 
@@ -47,22 +46,17 @@ val search_greedy : metrics -> Kernel.t -> k:int -> search
     in [greedy/marginal_evals]. *)
 
 val search_exact :
-  ?budget:int -> ?spawn_depth:int -> ?pool:Engine.Pool.t ->
-  metrics -> Kernel.t -> k:int -> search
+  ?budget:int -> ?pool:Engine.Pool.t -> metrics -> Kernel.t -> k:int -> search
 (** Branch-and-bound over every k-subset of the all-up kernel's units
     (left untouched), pruned by the smaller of the degree-sum bound and
     Lemma 2's counting bound ({!Bb.counting_bound}), seeded
-    with {!search_greedy} on a copy, run on the work-stealing sharded
-    frontier ({!Bb}): subtree tasks cut at a deterministic spawn depth
-    ([spawn_depth] overrides it, clamped to [1, k]; tests only), drained
-    through per-domain deques under ONE global node budget (default 50
-    million) — a heavy subtree inherits whatever budget its finished
-    siblings never used.  When a set strictly beats greedy, the result
+    with {!search_greedy} on a copy ({!Bb}): one strict lexicographic
+    DFS per first pick, on the [pool] when given, under ONE node budget
+    (default 50 million).  When a set strictly beats greedy, the result
     is the lexicographically smallest optimum, at any [pool] size.  If
-    the TOTAL budget runs out the result falls back to the greedy search
-    with [optimal = false] — deterministically, since any "best so far"
-    under work stealing would be schedule-dependent.  [k = 0] is the
-    empty set. *)
+    the budget runs out the result falls back to the greedy search with
+    [optimal = false] — deterministically, since any "best so far" on a
+    pool would be schedule-dependent.  [k = 0] is the empty set. *)
 
 val eval : Layout.t -> s:int -> int array -> int
 (** Number of objects failed by a given node set: a one-shot O(b·r)
@@ -71,17 +65,9 @@ val eval : Layout.t -> s:int -> int array -> int
     {!Kernel.t} and use {!Kernel.check} instead. *)
 
 val exact :
-  ?budget:int -> ?spawn_depth:int -> ?pool:Engine.Pool.t ->
-  Layout.t -> s:int -> k:int -> attack
+  ?budget:int -> ?pool:Engine.Pool.t -> Layout.t -> s:int -> k:int -> attack
 (** {!search_exact} over the layout's nodes.
     @raise Invalid_argument when [k >= n]. *)
-
-val exact_seq : ?budget:int -> Layout.t -> s:int -> k:int -> attack
-(** The sequential reference oracle: {!exact} with the whole tree
-    explored in the deterministic spawn phase ([spawn_depth = k]) and no
-    pool — classic strict-pruning lexicographic DFS.  Equal to {!exact}
-    whenever neither truncates; tests and the bench gate diff against
-    it. *)
 
 val greedy : Layout.t -> s:int -> k:int -> attack
 (** {!search_greedy} over the layout's nodes: add the node with the best

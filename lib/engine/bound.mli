@@ -8,9 +8,10 @@
     do read it mid-batch, but only as a {e conservative pruning bound}
     whose every observed value is ≤ the true optimum — then the set of
     nodes a task explores varies with timing, while the task's reported
-    result does not, provided pruning keeps ties against the shared cell
-    (see {!Placement.Bb}).  Publishing improvements from inside tasks is
-    always safe: the cell only tightens. *)
+    result does not, provided no tie the result depends on is pruned
+    ({!Placement.Bb} stores the value keyed by a tie-break, so only
+    ties that lose the merge anyway are cut).  Publishing improvements
+    from inside tasks is always safe: the cell only tightens. *)
 
 type t
 

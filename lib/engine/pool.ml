@@ -17,7 +17,6 @@ type t = {
    per-domain attribution depend on -j and on timing, so none of them may
    claim the Stable (bit-identical across -j) contract. *)
 let m_batches = Telemetry.Registry.counter ~kind:Volatile "engine/pool/batches"
-let m_steals = Telemetry.Registry.counter ~kind:Volatile "engine/pool/steals"
 let m_tasks = Telemetry.Registry.counter ~kind:Volatile "engine/pool/tasks"
 let m_busy_ns = Telemetry.Registry.counter ~kind:Volatile "engine/pool/busy_ns"
 let m_batch = Telemetry.Registry.span ~kind:Volatile "engine/pool/batch"
@@ -204,48 +203,6 @@ let parallel_map t f xs =
     in
     run_batch t tasks;
     Array.map (function Some v -> v | None -> assert false) results
-  end
-
-(* Work-stealing fan-out: tasks are dealt round-robin into one deque per
-   pool slot; each slot drains its own deque front-to-back, then scans
-   the other slots' deques and steals from their backs.  Tasks never
-   enqueue further tasks, so a slot that finds every deque empty can
-   exit — no termination protocol is needed.  The distribution (task i
-   to deque [i mod domains]) is a pure function of the input, but which
-   slot ultimately RUNS a task is timing-dependent: [f] must not let
-   [worker] influence its result, only its scratch-state reuse.  At
-   [~domains:1] the single deque is drained front-to-back on the calling
-   domain — the sequential reference order is the task index order. *)
-let parallel_steal t ~f tasks =
-  let ntasks = Array.length tasks in
-  if ntasks = 0 then 0
-  else begin
-    let d = t.domains in
-    let deques = Array.init d (fun _ -> Deque.create ()) in
-    Array.iteri (fun i task -> Deque.push deques.(i mod d) task) tasks;
-    let stolen = Array.make d 0 in
-    let slot_loop w () =
-      let rec own () =
-        match Deque.take_front deques.(w) with
-        | Some task ->
-            f ~worker:w task;
-            own ()
-        | None -> rob 1
-      and rob off =
-        if off < d then
-          match Deque.take_back deques.((w + off) mod d) with
-          | Some task ->
-              stolen.(w) <- stolen.(w) + 1;
-              f ~worker:w task;
-              own ()
-          | None -> rob (off + 1)
-      in
-      own ()
-    in
-    run_batch t (Array.init d slot_loop);
-    let steals = Array.fold_left ( + ) 0 stolen in
-    Telemetry.Counter.add m_steals steals;
-    steals
   end
 
 let parallel_init t n f =

@@ -6,9 +6,12 @@
     combinators place results by index, so the output never depends on
     how tasks were scheduled — running at [~domains:1] (the reference
     sequential path) and [~domains:n] is bit-identical, provided the
-    task function itself is deterministic.  The seed-splitting discipline
-    for stochastic tasks lives in {!Combin.Rng.split_n}: split one RNG
-    per task *before* dispatching, never inside tasks.
+    task function itself is deterministic.  Tasks that share a monotone
+    {!Bound} may let it steer how much they explore, never what they
+    return (the exact search over first picks in [Placement.Bb] is the
+    one user).  The seed-splitting discipline for stochastic tasks lives
+    in {!Combin.Rng.split_n}: split one RNG per task *before*
+    dispatching, never inside tasks.
 
     Pools are not reentrant: calling a combinator from inside a task of
     the same pool (or from two domains at once) raises {!Nested_use}
@@ -44,25 +47,6 @@ val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
     chunks across the pool.  Result order follows input order.  If any
     application raises, the first (lowest-indexed) exception is re-raised
     in the caller after all tasks have settled. *)
-
-val parallel_steal : t -> f:(worker:int -> 'a -> unit) -> 'a array -> int
-(** [parallel_steal t ~f tasks] runs [f ~worker tasks.(i)] for every [i]
-    through per-slot work-stealing deques ({!Deque}): task [i] is dealt
-    to deque [i mod domains], each slot drains its own deque in order
-    and then steals from the back of its neighbours'.  Returns the
-    number of steals (timing-dependent; also added to the Volatile
-    [engine/pool/steals] counter).
-
-    [worker] is the slot index in [0, domains) — stable across all calls
-    [f] receives on that slot, so tasks may keep expensive scratch state
-    (a kernel copy, a reusable heap) in per-slot cells.  Which slot runs
-    which task is timing-dependent: determinism of the *result* must
-    come from [f] writing task-indexed outputs whose values do not
-    depend on [worker] or on execution order (see {!Bound} for the
-    monotone-incumbent pattern this enables).  At [~domains:1] the tasks
-    run on the calling domain in index order, which is the sequential
-    reference schedule.  If an application raises, the first exception
-    (by slot scan order) is re-raised after the batch settles. *)
 
 val parallel_init : t -> int -> (int -> 'a) -> 'a array
 (** [parallel_init t n f] is [Array.init n f] through {!parallel_map}. *)

@@ -53,10 +53,10 @@ let greedy layout ~s tree ~level ~j =
   of_search tree ~level
     (Placement.Adversary.search_greedy m (kernel_of layout tree ~level ~s) ~k:j)
 
-let exact ?budget ?spawn_depth ?pool layout ~s tree ~level ~j =
+let exact ?budget ?pool layout ~s tree ~level ~j =
   check layout tree ~level ~j;
   of_search tree ~level
-    (Placement.Adversary.search_exact ?budget ?spawn_depth ?pool m
+    (Placement.Adversary.search_exact ?budget ?pool m
        (kernel_of layout tree ~level ~s)
        ~k:j)
 

@@ -11,8 +11,8 @@
     ({!Placement.Adversary.search_greedy} and
     {!Placement.Adversary.search_exact}, DESIGN.md §9/§15) over a
     kernel whose units are the domains, so the reported attack is
-    bit-identical at any [-j] even though the branch-and-bound's
-    explored node set is not.  Telemetry lands under
+    bit-identical at any [-j] even though, on a pool, the
+    branch-and-bound's explored node set is not.  Telemetry lands under
     [topology/adversary/...]. *)
 
 type attack = {
@@ -40,19 +40,16 @@ val greedy :
 
 val exact :
   ?budget:int ->
-  ?spawn_depth:int ->
   ?pool:Engine.Pool.t ->
   Placement.Layout.t -> s:int -> Tree.t -> level:int -> j:int -> attack
-(** Branch-and-bound over domain subsets on the shared frontier
-    ([budget]: ONE global search-node allowance, default 5e7, drawn in
-    blocks by the work-stealing tasks; [spawn_depth] forces the task
-    cut, clamped to [1, j] — tests only, [j] is the sequential
-    reference).  When it completes ([exact = true]) the attack is the
-    lexicographically first optimal domain set, or the greedy one when
-    nothing strictly beats it — exactly what a greedy-seeded strict
-    enumeration of every subset returns; on budget exhaustion it falls
-    back to the greedy attack with [exact = false],
-    deterministically. *)
+(** Branch-and-bound over domain subsets on the node adversary's search
+    ([budget]: ONE search-node allowance, default 5e7, shared by the
+    per-first-pick DFS runs).  When it completes ([exact = true]) the
+    attack is the lexicographically first optimal domain set, or the
+    greedy one when nothing strictly beats it — exactly what a
+    greedy-seeded strict enumeration of every subset returns; on budget
+    exhaustion it falls back to the greedy attack with
+    [exact = false], deterministically. *)
 
 val attack :
   ?pool:Engine.Pool.t ->

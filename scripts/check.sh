@@ -9,8 +9,9 @@
 # (--metrics must carry the placement/v1 envelope and the B&B
 # statistics), the exact-attack -j1 ≡ -j4 diff, ten exact node and
 # domain attacks pinned in scripts/exact_attacks.expected at -j1 and
-# -j4, and the frontier counters, a topology smoke (rack adversary vs node adversary sanity
-# inequality), a churn smoke (a 10^4-event seeded trace replayed
+# -j4, and the search counters with their -j1 ≡ -j4 values, a
+# topology smoke (rack adversary vs node adversary sanity inequality),
+# a churn smoke (a 10^4-event seeded trace replayed
 # through the continuous engine, diffed byte-for-byte against the
 # pinned envelope in scripts/churn_smoke.expected, a 6000-event trace
 # at n=1000, k=8 against scripts/churn_n1000.expected, and two with
@@ -60,7 +61,7 @@ echo "$metrics" | grep -q '"schema": "placement/v1"' ||
 echo "$metrics" | grep -q '"core/adversary/bb/nodes_expanded"' ||
   { echo "check.sh: --metrics output missing B&B search statistics" >&2; exit 1; }
 
-# Frontier -j determinism on the CLI path: the same exact attack must
+# Search -j determinism on the CLI path: the same exact attack must
 # be byte-identical at -j1 and -j4 (pruning reads a shared incumbent,
 # but the (value, lexicographic) merge pins the reported set).
 dune exec bin/placement_tool.exe -- attack --strategy combo \
@@ -101,19 +102,25 @@ for jobs in 1 4; do
 done
 rm -f exact_attacks.out
 
-# Frontier telemetry: on an instance big enough to actually spawn tasks
-# (n=71: spawn depth 2 < k), the --metrics envelope must carry the new
-# frontier counters — the task count and spawn depth are Stable, the
-# node count rides in the volatile section.  The layout is a random
-# one: on the Combo design of the same shape the counting bound proves
-# the greedy seed optimal at the root, so no task is ever spawned.
-bb_metrics=$(dune exec bin/placement_tool.exe -- attack --strategy random \
-  -n 71 -b 2400 -r 3 -s 2 -k 3 --metrics -)
-for counter in 'core/adversary/bb/spawned_tasks' 'core/adversary/bb/spawn_depth' \
-  'core/adversary/bb/nodes_expanded'; do
-  echo "$bb_metrics" | grep -q "\"$counter\"" ||
-    { echo "check.sh: --metrics output missing $counter" >&2; exit 1; }
-done
+# Search telemetry: on an instance whose search expands past the root
+# (a random layout: on the Combo design of the same shape the counting
+# bound proves the greedy seed optimal at the root), the --metrics
+# envelope must carry the node and prune counts, and its deterministic
+# "values" section must be identical at -j1 and -j4.
+bb_values() {
+  dune exec bin/placement_tool.exe -- attack --strategy random \
+    -n 71 -b 2400 -r 3 -s 2 -k 3 -j"$1" --metrics bb_metrics.json > /dev/null
+  for counter in 'core/adversary/bb/nodes_expanded' 'core/adversary/bb/bound_prunes'; do
+    grep -q "\"$counter\"" bb_metrics.json ||
+      { echo "check.sh: --metrics output missing $counter" >&2; exit 1; }
+  done
+  sed -n '/"values"/,/"timings"/{/"timings"/!p;}' bb_metrics.json
+}
+bb_values 1 > bb_values_j1.txt
+bb_values 4 > bb_values_j4.txt
+cmp bb_values_j1.txt bb_values_j4.txt ||
+  { echo "check.sh: --metrics values differ between -j1 and -j4" >&2; exit 1; }
+rm -f bb_metrics.json bb_values_j1.txt bb_values_j4.txt
 
 # Topology smoke: on a regular 4x5 topology the rack adversary (worst 1
 # rack = 5 nodes) can never beat the node adversary given the same 5-node

@@ -78,74 +78,6 @@ let test_bound () =
   Alcotest.(check bool) "better" true (Engine.Bound.improve b 9);
   Alcotest.(check int) "value" 9 (Engine.Bound.get b)
 
-let test_deque () =
-  let d : int Engine.Deque.t = Engine.Deque.create () in
-  Alcotest.(check (option int)) "empty front" None (Engine.Deque.take_front d);
-  Alcotest.(check (option int)) "empty back" None (Engine.Deque.take_back d);
-  (* Enough pushes to force the ring to grow past its initial capacity. *)
-  for i = 0 to 40 do
-    Engine.Deque.push d i
-  done;
-  Alcotest.(check int) "length" 41 (Engine.Deque.length d);
-  Alcotest.(check (option int)) "front is oldest" (Some 0)
-    (Engine.Deque.take_front d);
-  Alcotest.(check (option int)) "back is newest" (Some 40)
-    (Engine.Deque.take_back d);
-  (* Interleave pushes with takes so head wraps around the ring. *)
-  for i = 100 to 120 do
-    Engine.Deque.push d i
-  done;
-  let front = ref [] and back = ref [] in
-  let continue_ = ref true in
-  while !continue_ do
-    match (Engine.Deque.take_front d, Engine.Deque.take_back d) with
-    | None, None -> continue_ := false
-    | f, b ->
-        Option.iter (fun x -> front := x :: !front) f;
-        Option.iter (fun x -> back := x :: !back) b
-  done;
-  let drained = List.sort compare (List.rev_append !front !back) in
-  let expected =
-    List.sort compare (List.init 39 (fun i -> i + 1) @ List.init 21 (fun i -> i + 100))
-  in
-  Alcotest.(check (list int)) "drained exactly once each" expected drained
-
-let test_parallel_steal () =
-  Engine.Pool.with_pool ~domains:4 (fun pool ->
-      let n = 250 in
-      let hits = Array.make n 0 in
-      let workers = Array.make n (-1) in
-      let steals =
-        Engine.Pool.parallel_steal pool
-          ~f:(fun ~worker i ->
-            hits.(i) <- hits.(i) + 1;
-            workers.(i) <- worker)
-          (Array.init n Fun.id)
-      in
-      Alcotest.(check bool) "steal count sane" true (steals >= 0 && steals <= n);
-      Alcotest.(check (array int)) "every task ran exactly once"
-        (Array.make n 1) hits;
-      Alcotest.(check bool) "worker slots in range" true
-        (Array.for_all (fun w -> w >= 0 && w < 4) workers);
-      Alcotest.(check int) "empty input" 0
-        (Engine.Pool.parallel_steal pool ~f:(fun ~worker:_ _ -> ()) [||]))
-
-let test_parallel_steal_sequential () =
-  (* ~domains:1 is the reference schedule: one deque drained in task
-     index order by the calling domain, nothing to steal from. *)
-  Engine.Pool.with_pool ~domains:1 (fun pool ->
-      let order = ref [] in
-      let steals =
-        Engine.Pool.parallel_steal pool
-          ~f:(fun ~worker i ->
-            Alcotest.(check int) "only slot 0" 0 worker;
-            order := i :: !order)
-          (Array.init 10 Fun.id)
-      in
-      Alcotest.(check int) "no steals at -j1" 0 steals;
-      Alcotest.(check (list int)) "task index order" (List.init 10 Fun.id)
-        (List.rev !order))
-
 (* ------------------------------------------------------------------ *)
 (* -j 1 vs -j 4 determinism properties *)
 
@@ -189,26 +121,34 @@ let test_exact_deterministic =
       let par = Engine.Pool.with_pool ~domains:4 (fun p -> run (Some p)) in
       same_attack seq par)
 
-let test_frontier_matches_oracle =
-  (* The heart of the frontier's determinism contract (DESIGN.md §15):
-     at EVERY forced spawn depth, with and without a pool, the sharded
-     search reports the sequential oracle's exact answer — same damage,
-     same winning set under the lexicographic tie rule, even though the
-     explored node sets differ run to run. *)
-  qtest ~count:25 "Bb frontier: any spawn depth, -j1/-j4 = sequential oracle"
-    layout_case_gen
-    (fun (layout, _seed, s, k) ->
-      let oracle = Placement.Adversary.exact_seq layout ~s ~k in
-      let depths = List.sort_uniq compare [ 1; (k / 2) + 1; max 1 (k - 1) ] in
-      List.for_all
-        (fun d ->
-          let seq = Placement.Adversary.exact ~spawn_depth:d layout ~s ~k in
-          let par =
-            Engine.Pool.with_pool ~domains:4 (fun pool ->
-                Placement.Adversary.exact ~spawn_depth:d ~pool layout ~s ~k)
-          in
-          same_attack oracle seq && same_attack oracle par)
-        depths)
+(* A node budget far below the search tree truncates the exact search
+   at any -j: both adversaries then report their greedy attack with
+   [exact = false], identically with and without a pool, even though
+   which nodes the pooled run spent the budget on varies. *)
+let test_truncation_deterministic () =
+  let layout n b seed =
+    Placement.Random_placement.place ~rng:(Combin.Rng.create seed)
+      (Placement.Params.make ~b ~r:3 ~s:2 ~n ~k:6)
+  in
+  let budget = 50 in
+  let with_j4 f = Engine.Pool.with_pool ~domains:4 (fun p -> f (Some p)) in
+  let nodes = layout 40 800 1 in
+  let node pool = Placement.Adversary.exact ~budget ?pool nodes ~s:2 ~k:6 in
+  let greedy = Placement.Adversary.greedy nodes ~s:2 ~k:6 in
+  Alcotest.(check bool) "node -j1: greedy, not exact" true
+    (same_attack greedy (node None));
+  Alcotest.(check bool) "node -j4: greedy, not exact" true
+    (same_attack greedy (with_j4 node));
+  let domains = layout 48 900 2 in
+  let tree = Topology.Build.regular ~racks:24 ~nodes_per_rack:2 in
+  let domain pool =
+    Topology.Adversary.exact ~budget ?pool domains ~s:2 tree ~level:1 ~j:6
+  in
+  let greedy = Topology.Adversary.greedy domains ~s:2 tree ~level:1 ~j:6 in
+  Alcotest.(check bool) "domain -j1: greedy, not exact" true
+    (domain None = greedy);
+  Alcotest.(check bool) "domain -j4: greedy, not exact" true
+    (with_j4 domain = greedy)
 
 let test_attack_deterministic =
   qtest ~count:20 "Adversary.attack (lazy-greedy seed): -j 1 = -j 4"
@@ -258,16 +198,13 @@ let () =
           Alcotest.test_case "nested use rejected" `Quick
             test_nested_use_rejected;
           Alcotest.test_case "bound cell" `Quick test_bound;
-          Alcotest.test_case "deque" `Quick test_deque;
-          Alcotest.test_case "parallel_steal" `Quick test_parallel_steal;
-          Alcotest.test_case "parallel_steal -j1 reference" `Quick
-            test_parallel_steal_sequential;
         ] );
       ( "determinism",
         [
           test_local_search_deterministic;
           test_exact_deterministic;
-          test_frontier_matches_oracle;
+          Alcotest.test_case "exact truncation: greedy fallback, -j1 = -j4"
+            `Quick test_truncation_deterministic;
           test_attack_deterministic;
           test_montecarlo_deterministic;
         ] );

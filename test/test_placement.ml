@@ -728,16 +728,16 @@ let test_exact_budget_starvation () =
   let budget = (max_branch - 1) * (n - k + 1) in
   let _, tr_old, _ = static_split_exact layout ~s ~k ~budget in
   Alcotest.(check bool) "static split starves" true tr_old;
-  let oracle = Placement.Adversary.exact_seq layout ~s ~k in
-  let frontier = Placement.Adversary.exact ~budget layout ~s ~k in
-  Alcotest.(check bool) "frontier completes on the same budget" true
-    frontier.Placement.Adversary.exact;
-  Alcotest.(check int) "matches the sequential oracle"
+  let oracle = Placement.Adversary.exact layout ~s ~k in
+  let budgeted = Placement.Adversary.exact ~budget layout ~s ~k in
+  Alcotest.(check bool) "one shared budget completes" true
+    budgeted.Placement.Adversary.exact;
+  Alcotest.(check int) "matches the unbudgeted search"
     oracle.Placement.Adversary.failed_objects
-    frontier.Placement.Adversary.failed_objects;
+    budgeted.Placement.Adversary.failed_objects;
   Alcotest.(check (array int)) "same winning set"
     oracle.Placement.Adversary.failed_nodes
-    frontier.Placement.Adversary.failed_nodes
+    budgeted.Placement.Adversary.failed_nodes
 
 let test_adversary_exact_vs_enumeration =
   qtest ~count:60 "exact = lexicographic enumeration, n<=16"
@@ -755,12 +755,16 @@ let test_adversary_exact_vs_enumeration =
       return (Placement.Layout.make ~n ~r replicas, s, k))
     (fun (layout, s, k) ->
       let value, set = brute_force_attack layout ~s ~k in
-      let e = Placement.Adversary.exact layout ~s ~k in
       let g = Placement.Adversary.greedy layout ~s ~k in
-      e.Placement.Adversary.exact
-      && e.Placement.Adversary.failed_objects = value
-      && (value = g.Placement.Adversary.failed_objects
-         || e.Placement.Adversary.failed_nodes = set))
+      let matches (e : Placement.Adversary.attack) =
+        e.Placement.Adversary.exact
+        && e.Placement.Adversary.failed_objects = value
+        && (value = g.Placement.Adversary.failed_objects
+           || e.Placement.Adversary.failed_nodes = set)
+      in
+      matches (Placement.Adversary.exact layout ~s ~k)
+      && Engine.Pool.with_pool ~domains:4 (fun pool ->
+             matches (Placement.Adversary.exact ~pool layout ~s ~k)))
 
 (* Kernels for the counting-bound properties, each with its unit →
    replica-entry bags for a naive recount: node kernels, domain kernels
@@ -859,6 +863,79 @@ let test_counting_bound_admissible =
             if bag_killed groups ~s set > bound then ok := false)
       done;
       !ok)
+
+(* Without a pool the search is the strict-pruning lexicographic DFS,
+   node for node: this test-local DFS prunes with the same two bounds
+   against one best-so-far, seeded with the greedy value, and counts
+   every node it visits, the root and the leaves included.  A search
+   that let ties through (against an earlier first pick's value, or by
+   a reversed tie key) expands more. *)
+let strict_dfs kn ~k ~seed =
+  let n = Placement.Kernel.units kn in
+  let degrees = Array.init n (Placement.Kernel.degree kn) in
+  let top_deg = Placement.Bb.top_degrees ~degrees ~n ~k in
+  let fs = Placement.Kernel.Finishers.make (Placement.Kernel.copy kn) in
+  let pair =
+    if k >= 2 && Placement.Kernel.threshold kn >= 2 then
+      Placement.Kernel.Finishers.pairs fs
+    else Array.make (n + 1) 0
+  in
+  let best = ref seed and nodes = ref 0 in
+  let rec go start depth =
+    incr nodes;
+    let killed = Placement.Kernel.killed (Placement.Kernel.Finishers.kernel fs) in
+    let m = k - depth in
+    if m = 0 then best := max !best killed
+    else if
+      killed
+      + min top_deg.(start).(m) (Placement.Bb.counting_bound fs ~pair ~start ~m)
+      > !best
+    then
+      for nd = start to n - m do
+        Placement.Kernel.Finishers.add fs nd;
+        go (nd + 1) (depth + 1);
+        Placement.Kernel.Finishers.remove fs nd
+      done
+  in
+  go 0 0;
+  (!best, !nodes)
+
+let test_search_is_strict_dfs =
+  qtest ~count:150 "search without a pool = strict DFS, node for node"
+    QCheck2.Gen.(
+      let* n = int_range 8 18 in
+      let* b = int_range 10 60 in
+      let* s = int_range 1 3 in
+      let* k = int_range 1 5 in
+      let* racks = int_range 0 (n / 2) in
+      let* seed = int_range 0 10000 in
+      return (n, b, s, k, racks, seed))
+    (fun (n, b, s, k, racks, seed) ->
+      let rng = Combin.Rng.create seed in
+      let replicas =
+        Array.init b (fun _ -> Combin.Rng.sample_distinct rng ~n ~k:3)
+      in
+      let layout = Placement.Layout.make ~n ~r:3 replicas in
+      (* racks = 0: the node kernel; otherwise a domain kernel over
+         [racks] racks that partition the nodes. *)
+      let kn =
+        if racks = 0 then Placement.Kernel.make layout ~s
+        else
+          Topology.Adversary.kernel_of layout
+            (Topology.Build.partition ~n ~domains:racks ())
+            ~level:1 ~s
+      in
+      let k = min k (Placement.Kernel.units kn) in
+      let seed =
+        let g = Placement.Kernel.copy kn in
+        ignore (Placement.Kernel.select_greedy g ~picks:k);
+        Placement.Kernel.killed g
+      in
+      let r = Placement.Bb.search ~budget:max_int ~kernel:kn ~k ~seed () in
+      let best, nodes = strict_dfs kn ~k ~seed in
+      (not r.Placement.Bb.truncated)
+      && r.Placement.Bb.value = best
+      && r.Placement.Bb.stats.Placement.Bb.nodes = nodes)
 
 (* The finisher counts stay exact under random add/remove churn: each
    unit's count equals a naive recount of the objects below s hits of
@@ -1838,6 +1915,7 @@ let () =
             test_exact_budget_starvation;
           test_adversary_exact_vs_enumeration;
           test_counting_bound_admissible;
+          test_search_is_strict_dfs;
         ] );
       ( "kernel",
         [

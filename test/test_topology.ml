@@ -172,7 +172,7 @@ let test_adversary_flat_equals_node () =
   (* On a flat tree the rack adversary IS the node adversary: same
      availability on the Fig. 4 design points — and, one search under
      two prefixes, the same Stable search counters. *)
-  let stable = [ "greedy/marginal_evals"; "bb/spawned_tasks" ] in
+  let stable = [ "greedy/marginal_evals" ] in
   let count prefix name =
     Telemetry.Counter.value
       (Telemetry.Registry.counter (prefix ^ "/adversary/" ^ name))
@@ -245,37 +245,31 @@ let test_adversary_jobs_identical =
          = par.Topology.Adversary.failed_objects
       && seq.Topology.Adversary.exact = par.Topology.Adversary.exact)
 
-let test_adversary_frontier_spawn_depths () =
-  (* The sharded frontier path through the domain adversary: every
-     forced spawn depth, with and without a pool, must reproduce the
-     exhaustive answer — damage AND domain set (DESIGN.md §15). *)
+let test_adversary_pool_vs_exhaustive () =
+  (* The per-first-pick search through the domain adversary, with and
+     without a pool, must reproduce the exhaustive answer — damage AND
+     domain set (DESIGN.md §15). *)
   let rng = Combin.Rng.create 7 in
   let inst = Placement.Instance.make ~b:80 ~r:3 ~s:2 ~n:24 ~k:3 () in
   let layout = Placement.Instance.random_layout ~rng inst in
   let tree = Topology.Build.regular ~racks:8 ~nodes_per_rack:3 in
   let j = 3 in
   let oracle = exhaustive layout ~s:2 tree ~level:1 ~j in
-  List.iter
-    (fun spawn_depth ->
-      let check_attack name (a : Topology.Adversary.attack) =
-        Alcotest.(check bool) (name ^ ": exact") true a.Topology.Adversary.exact;
-        Alcotest.(check int)
-          (name ^ ": damage")
-          oracle.Topology.Adversary.failed_objects
-          a.Topology.Adversary.failed_objects;
-        Alcotest.(check (array int))
-          (name ^ ": domains")
-          oracle.Topology.Adversary.failed_domains
-          a.Topology.Adversary.failed_domains
-      in
-      let name = Printf.sprintf "spawn_depth=%d" spawn_depth in
-      check_attack (name ^ " -j1")
-        (Topology.Adversary.exact ~spawn_depth layout ~s:2 tree ~level:1 ~j);
-      check_attack (name ^ " -j4")
-        (Engine.Pool.with_pool ~domains:4 (fun pool ->
-             Topology.Adversary.exact ~spawn_depth ~pool layout ~s:2 tree
-               ~level:1 ~j)))
-    [ 1; 2; 3 ]
+  let check_attack name (a : Topology.Adversary.attack) =
+    Alcotest.(check bool) (name ^ ": exact") true a.Topology.Adversary.exact;
+    Alcotest.(check int)
+      (name ^ ": damage")
+      oracle.Topology.Adversary.failed_objects
+      a.Topology.Adversary.failed_objects;
+    Alcotest.(check (array int))
+      (name ^ ": domains")
+      oracle.Topology.Adversary.failed_domains
+      a.Topology.Adversary.failed_domains
+  in
+  check_attack "-j1" (Topology.Adversary.exact layout ~s:2 tree ~level:1 ~j);
+  check_attack "-j4"
+    (Engine.Pool.with_pool ~domains:4 (fun pool ->
+         Topology.Adversary.exact ~pool layout ~s:2 tree ~level:1 ~j))
 
 let test_adversary_greedy_le_exact =
   qtest ~count:30 "greedy damage <= exact damage"
@@ -503,8 +497,8 @@ let () =
             test_adversary_flat_equals_node;
           test_adversary_exhaustive_vs_bb;
           test_adversary_jobs_identical;
-          Alcotest.test_case "frontier spawn depths = exhaustive" `Quick
-            test_adversary_frontier_spawn_depths;
+          Alcotest.test_case "-j1/-j4 = exhaustive" `Quick
+            test_adversary_pool_vs_exhaustive;
           test_adversary_greedy_le_exact;
           Alcotest.test_case "validation" `Quick test_adversary_validates;
           test_adversary_exhaustive_vs_bb_shared_racks;
