@@ -510,13 +510,13 @@ let print_domain_bound p = function
 
 (* attack/simulate: the node adversary and, under --topology, the domain
    adversary, both on one pool. *)
-let run_attacks ?rng jobs layout ~s ~k topo_ctx =
+let run_attacks jobs layout ~s ~k topo_ctx =
   with_pool jobs (fun pool ->
-      let atk = Placement.Adversary.attack ?pool ?rng layout ~s ~k in
+      let atk = Placement.Adversary.exact ?pool layout ~s ~k in
       let datk =
         Option.map
           (fun (tree, level, j) ->
-            (tree, level, j, Topology.Adversary.attack ?pool layout ~s tree ~level ~j))
+            (tree, level, j, Topology.Adversary.exact ?pool layout ~s tree ~level ~j))
           topo_ctx
       in
       (atk, datk))
@@ -630,11 +630,6 @@ let analyze_term =
     in
     let domains, topo_ctx = topo ~n:p.Placement.Params.n in
     let inst = Placement.Instance.of_params ?domains p in
-    let attack_cost =
-      Placement.Adversary.attack_cost ~n:p.Placement.Params.n
-        ~r:p.Placement.Params.r ~b:p.Placement.Params.b ~k:p.Placement.Params.k
-    in
-    let affordable = attack_cost <= Placement.Adversary.exact_limit in
     if json then begin
       let report = Placement.Strategy.report (module S) inst in
       let fields =
@@ -643,11 +638,6 @@ let analyze_term =
              [ ("random", Placement.Codec.rnd_report_json
                    (Placement.Instance.rnd_report inst)) ]
            else [])
-        @ [
-            ( "exact_adversary_affordable",
-              Telemetry.Json.Bool affordable );
-            ("attack_cost", Telemetry.Json.Float attack_cost);
-          ]
         @ (match synth with
           | None -> []
           | Some (seed, layout, atk) ->
@@ -699,9 +689,7 @@ let analyze_term =
           (Placement.Analysis.ub_avail_any ~b:p.Placement.Params.b
              ~r:p.Placement.Params.r ~s:p.Placement.Params.s
              ~n:p.Placement.Params.n ~k:p.Placement.Params.k)
-          p.Placement.Params.b;
-        Fmt.pr "  exact adversary affordable: %b (estimated work %.3g)@."
-          affordable attack_cost
+          p.Placement.Params.b
       end;
       (match synth with
       | None -> ()
@@ -887,7 +875,7 @@ let simulate_term =
     let rng = Combin.Rng.create seed in
     let layout = plan_layout (module S) ~rng inst in
     let attack, domain_attack =
-      run_attacks ~rng jobs layout ~s:p.Placement.Params.s
+      run_attacks jobs layout ~s:p.Placement.Params.s
         ~k:p.Placement.Params.k topo_ctx
     in
     if json then

@@ -21,7 +21,7 @@ let b = 600
    cluster, then recover it so the long-run simulation below starts
    clean. *)
 let worst_episode name cluster layout =
-  let atk = Placement.Adversary.attack layout ~s ~k:3 in
+  let atk = Placement.Adversary.exact layout ~s ~k:3 in
   Printf.printf "%-10s worst episode, objects up after each failure:" name;
   Array.iter
     (fun nd ->

@@ -32,7 +32,7 @@ let () =
       let attack = Placement.Instance.attack inst layout in
       let rng = Combin.Rng.create (3000 + k) in
       let random_layout = Placement.Instance.random_layout ~rng inst in
-      let random_attack = Placement.Instance.attack ~rng inst random_layout in
+      let random_attack = Placement.Instance.attack inst random_layout in
       Printf.printf
         "k=%d nodes down: combo guarantees %d/%d stripes (measured %d); random: %d (predicted %d)\n"
         k plan.Placement.Combo.lb stripes

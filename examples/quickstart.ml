@@ -40,7 +40,7 @@ let () =
      worst-case adversary. *)
   let rng = Combin.Rng.create 2025 in
   let random_layout = Placement.Instance.random_layout ~rng inst in
-  let random_attack = Placement.Instance.attack ~rng inst random_layout in
+  let random_attack = Placement.Instance.attack inst random_layout in
   Printf.printf "random placement under the same adversary: %d available\n"
     (Placement.Adversary.avail random_layout ~s:2 random_attack);
   Printf.printf "analytic prediction for random (prAvail): %d\n"

@@ -21,7 +21,7 @@ let evaluate name layout =
     (fun (sem, s) ->
       List.iter
         (fun k ->
-          let attack = Placement.Adversary.attack layout ~s ~k in
+          let attack = Placement.Adversary.exact layout ~s ~k in
           Printf.printf "  %-22s k=%d: %4d / %d chunks survive (%s adversary)\n"
             (Dsim.Semantics.describe sem) k
             (Placement.Adversary.avail layout ~s attack)

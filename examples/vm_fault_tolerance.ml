@@ -23,7 +23,7 @@ let () =
       let attack = Placement.Instance.attack inst layout in
       let rng = Combin.Rng.create (100 + k) in
       let random_layout = Placement.Instance.random_layout ~rng inst in
-      let random_attack = Placement.Instance.attack ~rng inst random_layout in
+      let random_attack = Placement.Instance.attack inst random_layout in
       Printf.printf
         "k=%d hosts down: combo guarantees %d up (measured %d); random placement: %d up (predicted %d)\n"
         k plan.Placement.Combo.lb

@@ -1,7 +1,7 @@
 (** Deterministic splittable pseudo-random number generator (SplitMix64).
 
     All stochastic components of the reproduction (Random placement,
-    adversary restarts, Monte-Carlo experiments) draw from this generator so
+    copysets, Monte-Carlo experiments) draw from this generator so
     that every experiment is reproducible from a fixed seed.  SplitMix64 is
     small, fast, passes BigCrush, and supports {!split} for building
     statistically independent streams for sub-experiments. *)

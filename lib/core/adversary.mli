@@ -4,21 +4,21 @@
     nodes).
 
     Finding the true optimum is a coverage-maximization problem; we
-    provide an exact branch-and-bound for small C(n,k) and a greedy +
-    steepest-ascent-swap local search with multi-restart for the rest
-    (see DESIGN.md §3 on how this substitutes for the paper's unspecified
-    "simulating the worst k failures").
+    answer it with one exact branch-and-bound under a node budget,
+    seeded by the exact-score greedy, which is also the fallback when
+    the budget runs out (see DESIGN.md §3 on how this substitutes for
+    the paper's unspecified "simulating the worst k failures").
 
     The search itself is unit-level: {!search_greedy} and
     {!search_exact} run over any all-up {!Kernel.t}, whose units are
     nodes here and same-level fault domains in [Topology.Adversary] —
     one search, two telemetry prefixes ({!metrics}).
 
-    Both searches are fan-out shaped and accept an optional
-    {!Engine.Pool}: the branch-and-bound ({!Bb}, DESIGN.md §15)
-    parallelizes over first picks, the local search over restarts.  Results are bit-identical with and
-    without a pool, at any pool size — parallelism only changes
-    wall-clock (see DESIGN.md §2, "parallelism & determinism"). *)
+    The exact search accepts an optional {!Engine.Pool}: the
+    branch-and-bound ({!Bb}, DESIGN.md §15) parallelizes over first
+    picks.  Results are bit-identical with and without a pool, at any
+    pool size — parallelism only changes wall-clock (see DESIGN.md §2,
+    "parallelism & determinism"). *)
 
 type attack = {
   failed_nodes : int array;  (** the chosen K, sorted, |K| = k *)
@@ -31,8 +31,8 @@ type metrics
 
 val metrics : string -> metrics
 (** Registers (or finds) the [greedy/*], [kernel/*] and [bb/*] search
-    counters under a prefix; the node adversary's is
-    ["core/adversary"]. *)
+    counters and the [attack] span under a prefix; the node
+    adversary's is ["core/adversary"]. *)
 
 type search = {
   units : int array;  (** the chosen units, ascending *)
@@ -56,7 +56,10 @@ val search_exact :
     is the lexicographically smallest optimum, at any [pool] size.  If
     the budget runs out the result falls back to the greedy search with
     [optimal = false] — deterministically, since any "best so far" on a
-    pool would be schedule-dependent.  [k = 0] is the empty set. *)
+    pool would be schedule-dependent — and a warning is logged (source
+    ["placement.adversary"]), so callers can tell a heuristic answer
+    from an exact one.  The whole search runs under the
+    [<prefix>/attack] span.  [k = 0] is the empty set. *)
 
 val eval : Layout.t -> s:int -> int array -> int
 (** Number of objects failed by a given node set: a one-shot O(b·r)
@@ -75,32 +78,6 @@ val greedy : Layout.t -> s:int -> k:int -> attack
     objects, then by lowest node id — a full rescan's picks, from one
     marginal per node plus exact score updates per pick. *)
 
-val local_search :
-  rng:Combin.Rng.t -> ?restarts:int -> ?pool:Engine.Pool.t ->
-  Layout.t -> s:int -> k:int -> attack
-(** Greedy start (plus random restarts), then steepest-ascent single-node
-    swaps to a local optimum.  [restarts] defaults to 8; each restart
-    draws from its own pre-split child of [rng] (see
-    {!Combin.Rng.split_n}), so the result does not depend on [pool]. *)
-
-val exact_limit : float
-(** 5e7: the largest {!attack_cost} {!attack} still searches exactly. *)
-
-val attack_cost : n:int -> r:int -> b:int -> k:int -> float
-(** The exact search's estimated work, C(n,k)·(r·b/n): search-tree
-    leaves times the average number of objects per node. *)
-
-val attack :
-  ?pool:Engine.Pool.t -> ?rng:Combin.Rng.t -> ?restarts:int ->
-  Layout.t -> s:int -> k:int -> attack
-(** The restart-plan front end: exact search when {!attack_cost} is at
-    most {!exact_limit}, otherwise
-    {!local_search} with [restarts] (default 8).  [rng] defaults to a
-    fixed seed, making the result deterministic.  Logs (source
-    ["placement.adversary"]) a warning when a truncated exact search
-    falls back to best-so-far and a debug line when dispatching to the
-    heuristic, so callers can tell a heuristic answer from an exact
-    one. *)
-
 val avail : Layout.t -> s:int -> attack -> int
-(** [b - attack.failed_objects]: the (estimated) Avail(π) of Def. 1. *)
+(** [b - attack.failed_objects]: Avail(π) of Def. 1 (an upper bound on
+    it when [attack.exact] is false). *)

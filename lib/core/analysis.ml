@@ -1,6 +1,3 @@
-let max_objects ~x ~nx ~r ~lambda =
-  lambda * Combin.Binomial.exact nx (x + 1) / Combin.Binomial.exact r (x + 1)
-
 let capacity_per_mu ~x ~nx ~r ~mu =
   let num = mu * Combin.Binomial.exact nx (x + 1) in
   let den = Combin.Binomial.exact r (x + 1) in

@@ -1,10 +1,6 @@
 (** Analytical results for Simple(x, λ) placements: Lemma 1, Lemma 2,
     Eqn. 1 and Theorem 1. *)
 
-val max_objects : x:int -> nx:int -> r:int -> lambda:int -> int
-(** Lemma 1: a Simple(x, λ) placement on nx nodes hosts at most
-    [floor(λ C(nx,x+1) / C(r,x+1))] objects. *)
-
 val lambda_min : x:int -> nx:int -> r:int -> mu:int -> b:int -> int
 (** Eqn. 1: the minimal λ (a multiple of μ) such that
     [b <= λ C(nx,x+1) / C(r,x+1)], given that a Simple(x, μ) design

@@ -112,7 +112,7 @@ let copyset ~rng ?scatter_width t =
 let pr_avail t = Random_analysis.pr_avail t.params
 let rnd_report t = Random_analysis.report t.params
 
-let attack ?pool ?rng t layout =
-  Adversary.attack ?pool ?rng layout ~s:t.params.s ~k:t.params.k
+let attack ?pool t layout =
+  Adversary.exact ?pool layout ~s:t.params.s ~k:t.params.k
 
 let avail t layout atk = Adversary.avail layout ~s:t.params.s atk

@@ -94,7 +94,7 @@ val pr_avail : t -> int
 val rnd_report : t -> Random_analysis.rnd_report
 (** The full {!Random_analysis.report} for these parameters. *)
 
-val attack : ?pool:Engine.Pool.t -> ?rng:Combin.Rng.t -> t -> Layout.t -> Adversary.attack
-(** {!Adversary.attack} at this instance's s and k. *)
+val attack : ?pool:Engine.Pool.t -> t -> Layout.t -> Adversary.attack
+(** {!Adversary.exact} at this instance's s and k. *)
 
 val avail : t -> Layout.t -> Adversary.attack -> int

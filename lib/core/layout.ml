@@ -2,7 +2,6 @@ type t = {
   n : int;
   r : int;
   replicas : int array array;
-  mutable node_objs : int array array option;
   mutable node_csr : Combin.Csr.t option;
 }
 
@@ -17,43 +16,18 @@ let make ~n ~r replicas =
       if rep.(0) < 0 || rep.(r - 1) >= n then
         invalid_arg "Layout.make: node out of range")
     replicas;
-  { n; r; replicas; node_objs = None; node_csr = None }
+  { n; r; replicas; node_csr = None }
 
 let b t = Array.length t.replicas
-
-let build_node_objects t =
-  let counts = Array.make t.n 0 in
-  Array.iter (fun rep -> Array.iter (fun nd -> counts.(nd) <- counts.(nd) + 1) rep) t.replicas;
-  let out = Array.init t.n (fun nd -> Array.make counts.(nd) 0) in
-  let fill = Array.make t.n 0 in
-  Array.iteri
-    (fun obj rep ->
-      Array.iter
-        (fun nd ->
-          out.(nd).(fill.(nd)) <- obj;
-          fill.(nd) <- fill.(nd) + 1)
-        rep)
-    t.replicas;
-  out
-
-let node_objects t =
-  match t.node_objs with
-  | Some idx -> idx
-  | None ->
-      let idx = build_node_objects t in
-      (* Benign race under domains: the index is a pure function of the
-         (immutable) replica table, so concurrent builders store
-         structurally identical arrays and one pointer write wins. *)
-      t.node_objs <- Some idx;
-      idx
 
 let incidence t =
   match t.node_csr with
   | Some csr -> csr
   | None ->
       let csr = Combin.Csr.invert ~rows:t.n t.replicas in
-      (* Benign race under domains, as for node_objs: the CSR is a pure
-         function of the immutable replica table. *)
+      (* Benign race under domains: the CSR is a pure function of the
+         immutable replica table, so concurrent builders store identical
+         indexes and one pointer write wins. *)
       t.node_csr <- Some csr;
       csr
 
@@ -104,16 +78,5 @@ let concat = function
       {
         first with
         replicas = Array.concat (List.map (fun p -> p.replicas) parts);
-        node_objs = None;
         node_csr = None;
       }
-
-let shift t ~offset ~n =
-  if offset < 0 || offset + t.n > n then invalid_arg "Layout.shift: bad offset";
-  {
-    n;
-    r = t.r;
-    replicas = Array.map (fun rep -> Array.map (fun nd -> nd + offset) rep) t.replicas;
-    node_objs = None;
-    node_csr = None;
-  }

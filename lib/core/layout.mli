@@ -7,8 +7,6 @@ type t = private {
   replicas : int array array;
       (** [replicas.(obj)] is the sorted array of the r nodes hosting
           replicas of [obj] *)
-  mutable node_objs : int array array option;
-      (** memoized inverted index; use {!node_objects}, never this field *)
   mutable node_csr : Combin.Csr.t option;
       (** memoized flat inverted index; use {!incidence}, never this field *)
 }
@@ -19,12 +17,6 @@ val make : n:int -> r:int -> int array array -> t
 
 val b : t -> int
 (** Number of objects. *)
-
-val node_objects : t -> int array array
-(** Inverted index: [(node_objects t).(nd)] lists the objects with a
-    replica on node [nd].  Built in O(n + r·b) on first use and memoized
-    in the layout, so every caller shares one physical index — treat the
-    result as read-only. *)
 
 val incidence : t -> Combin.Csr.t
 (** The node → objects inverted index as a flat {!Combin.Csr.t}: row
@@ -56,7 +48,3 @@ val scatter_widths : t -> int array
 val concat : t list -> t
 (** Concatenate the object lists of placements over the same node set.
     @raise Invalid_argument on mismatched [n] or [r]. *)
-
-val shift : t -> offset:int -> n:int -> t
-(** Embed into a larger node set, renaming node [p] to [p + offset]
-    (chunked placements, Observation 2). *)

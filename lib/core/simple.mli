@@ -22,14 +22,6 @@ val of_design : ?spread:bool -> Designs.Block_design.t -> n:int -> b:int -> t
     reaches all n nodes instead of only nx (Observation 2).
     @raise Invalid_argument if [b < 1] or [d.v > n]. *)
 
-val of_blocks_seq :
-  x:int -> v:int -> r:int -> capacity:int -> n:int -> b:int ->
-  int array Seq.t -> t
-(** Build from a lazy stream of distinct blocks forming an
-    (x+1)-(v, r, 1) packing of capacity [capacity] (e.g. all r-subsets
-    when x+1 = r); takes min b capacity blocks and copies the stream as
-    needed for larger b. *)
-
 val of_entry : ?spread:bool -> Designs.Registry.entry -> n:int -> b:int -> t
 (** Build from a registry entry; materializes the design, except for
     complete (t = r) entries which stream lazily.

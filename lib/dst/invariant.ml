@@ -184,7 +184,7 @@ let check_domain_cap name layout ~s tree ~level (d : Placement.Spread.domains) =
       d.level d.cap;
   let j = (s - 1) / d.cap in
   if j >= 1 && j < Topology.Tree.domain_count tree ~level then begin
-    let atk = Topology.Adversary.attack layout ~s tree ~level ~j in
+    let atk = Topology.Adversary.exact layout ~s tree ~level ~j in
     if atk.Topology.Adversary.failed_objects > 0 then
       fail name
         "failing %d %s(s) kills %d objects; cap %d with s = %d promises none"

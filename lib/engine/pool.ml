@@ -204,23 +204,3 @@ let parallel_map t f xs =
     run_batch t tasks;
     Array.map (function Some v -> v | None -> assert false) results
   end
-
-let parallel_init t n f =
-  if n < 0 then invalid_arg "Pool.parallel_init";
-  parallel_map t f (Array.init n Fun.id)
-
-let parallel_reduce_max t ~score f xs =
-  if Array.length xs = 0 then invalid_arg "Pool.parallel_reduce_max: empty";
-  let ys = parallel_map t f xs in
-  (* Deterministic fold: the lowest index wins ties, independent of how
-     the map was scheduled. *)
-  let best = ref ys.(0) in
-  let best_score = ref (score ys.(0)) in
-  for i = 1 to Array.length ys - 1 do
-    let s = score ys.(i) in
-    if s > !best_score then begin
-      best := ys.(i);
-      best_score := s
-    end
-  done;
-  !best

@@ -48,11 +48,3 @@ val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
     application raises, the first (lowest-indexed) exception is re-raised
     in the caller after all tasks have settled. *)
 
-val parallel_init : t -> int -> (int -> 'a) -> 'a array
-(** [parallel_init t n f] is [Array.init n f] through {!parallel_map}. *)
-
-val parallel_reduce_max : t -> score:('b -> int) -> ('a -> 'b) -> 'a array -> 'b
-(** [parallel_reduce_max t ~score f xs] maps [f] over [xs] in parallel
-    and returns the image with the greatest [score]; ties go to the
-    lowest index, so the winner is deterministic.  Raises
-    [Invalid_argument] on an empty array. *)

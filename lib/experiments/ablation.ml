@@ -3,7 +3,6 @@ type adversary_row = {
   s : int;
   k : int;
   greedy_failed : int;
-  local_failed : int;
   exact_failed : int option;
 }
 
@@ -25,18 +24,15 @@ let adversary_cases () =
   ]
 
 let adversary () =
-  let rng = Combin.Rng.create 0xAB1B in
   List.map
     (fun (desc, layout, s, k) ->
       let greedy = Placement.Adversary.greedy layout ~s ~k in
-      let local = Placement.Adversary.local_search ~rng layout ~s ~k in
       let exact = Placement.Adversary.exact layout ~s ~k in
       {
         desc;
         s;
         k;
         greedy_failed = greedy.Placement.Adversary.failed_objects;
-        local_failed = local.Placement.Adversary.failed_objects;
         exact_failed =
           (if exact.Placement.Adversary.exact then
              Some exact.Placement.Adversary.failed_objects
@@ -67,7 +63,7 @@ let random ?(trials = 10) () =
           let rng = Combin.Rng.create (0xAB2A + trial) in
           let layout = place ~rng p in
           loads := max !loads (Placement.Layout.max_load layout);
-          let attack = Placement.Instance.attack ~rng inst layout in
+          let attack = Placement.Instance.attack inst layout in
           avails :=
             float_of_int (Placement.Instance.avail inst layout attack) :: !avails
         done;
@@ -187,7 +183,6 @@ let print_adversary fmt =
           string_of_int r.s;
           string_of_int r.k;
           string_of_int r.greedy_failed;
-          string_of_int r.local_failed;
           (match r.exact_failed with
           | Some v -> string_of_int v
           | None -> "(truncated)");
@@ -196,7 +191,7 @@ let print_adversary fmt =
   in
   Format.fprintf fmt "%s@."
     (Render.table
-       ~headers:[ "placement"; "s"; "k"; "greedy"; "greedy+swap"; "exact" ]
+       ~headers:[ "placement"; "s"; "k"; "greedy"; "exact" ]
        ~rows)
 
 let print_random fmt =

@@ -1,9 +1,7 @@
 (** Ablation studies for the design choices called out in DESIGN.md §5:
 
-    - {b adversary}: greedy vs greedy+swap local search vs exact
-      branch-and-bound, on placements where the exact optimum is
-      affordable — quantifies how much damage each heuristic level leaves
-      on the table;
+    - {b adversary}: greedy vs exact branch-and-bound — quantifies how
+      much damage the greedy seed leaves on the table;
     - {b random placement}: Definition 4's load-capped Random vs the
       uncapped Random′ of Theorem 2's proof — load spread and worst-case
       availability. *)
@@ -13,7 +11,6 @@ type adversary_row = {
   s : int;
   k : int;
   greedy_failed : int;
-  local_failed : int;
   exact_failed : int option;  (** None when the exact search is truncated *)
 }
 

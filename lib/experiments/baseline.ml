@@ -11,8 +11,8 @@ type row = {
   copyset_wide_avail : int;
 }
 
-let attack_avail inst layout rng =
-  Placement.Instance.avail inst layout (Placement.Instance.attack ~rng inst layout)
+let attack_avail inst layout =
+  Placement.Instance.avail inst layout (Placement.Instance.attack inst layout)
 
 let compute () =
   List.map
@@ -33,10 +33,10 @@ let compute () =
         k;
         b;
         combo_lb = cfg.Placement.Combo.lb;
-        combo_avail = attack_avail inst combo_layout rng;
-        random_avail = attack_avail inst random_layout rng;
-        copyset_avail = attack_avail inst narrow rng;
-        copyset_wide_avail = attack_avail inst wide rng;
+        combo_avail = attack_avail inst combo_layout;
+        random_avail = attack_avail inst random_layout;
+        copyset_avail = attack_avail inst narrow;
+        copyset_wide_avail = attack_avail inst wide;
       })
     [
       (31, 3, 2, 3, 600);

@@ -33,12 +33,9 @@ let compute ?pool () =
          let lambda = Placement.Layout.max_load layout in
          List.map
            (fun j ->
-             let rack_atk = Topology.Adversary.attack ?pool layout ~s tree ~level:1 ~j in
+             let rack_atk = Topology.Adversary.exact ?pool layout ~s tree ~level:1 ~j in
              let covered = Array.length rack_atk.Topology.Adversary.failed_nodes in
-             let rng = Combin.Rng.create (0xD0 + n + j) in
-             let node_atk =
-               Placement.Adversary.attack ?pool ~rng layout ~s ~k:covered
-             in
+             let node_atk = Placement.Adversary.exact ?pool layout ~s ~k:covered in
              let lb =
                (Topology.Bound.si_report
                   ~choose:(Placement.Instance.choose inst)

@@ -3,8 +3,8 @@
     For n = 71, x = 1, r = 3 (Simple(1, λ) placements built from STS(69)),
     plots Avail(π) − lbAvail_si(x, λ) against b for
     (s, k) ∈ {2} × {2..5} ∪ {3} × {3..5}.  Avail(π) is measured by the
-    worst-case adversary (exact when affordable, local search otherwise —
-    see DESIGN.md §3). *)
+    exact worst-case adversary, which falls back to its greedy attack
+    only when its node budget runs out (see DESIGN.md §3). *)
 
 type point = {
   s : int;

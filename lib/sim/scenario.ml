@@ -22,7 +22,7 @@ let select ~rng cluster t =
   match t with
   | Adversarial k ->
       let attack =
-        Placement.Adversary.attack ~rng (Cluster.layout cluster)
+        Placement.Adversary.exact (Cluster.layout cluster)
           ~s:(Cluster.fatality_threshold cluster) ~k
       in
       attack.Placement.Adversary.failed_nodes
@@ -38,7 +38,7 @@ let select ~rng cluster t =
       Topology.Failset.nodes topo ~level picked
   | Domain_failure (level, j) ->
       let attack =
-        Topology.Adversary.attack (Cluster.layout cluster)
+        Topology.Adversary.exact (Cluster.layout cluster)
           ~s:(Cluster.fatality_threshold cluster)
           (Cluster.topology cluster) ~level ~j
       in

@@ -28,7 +28,7 @@ val events : rng:Combin.Rng.t -> Cluster.t -> t -> Event.t list * int array
 val apply : rng:Combin.Rng.t -> Cluster.t -> t -> int array
 (** Apply the scenario to a (fully recovered) cluster: fails the selected
     nodes and returns them (sorted).  The adversarial scenarios use
-    {!Placement.Adversary.attack} / {!Topology.Adversary.attack} against
+    {!Placement.Adversary.exact} / {!Topology.Adversary.exact} against
     the cluster's layout and fatality threshold; rack scenarios draw
     their domains from the cluster's topology. *)
 

@@ -1,8 +1,3 @@
-let log_src =
-  Logs.Src.create "topology.adversary" ~doc:"domain-aware worst-case adversary"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type attack = {
   failed_domains : int array;
   failed_nodes : int array;
@@ -13,7 +8,6 @@ type attack = {
 (* The node adversary's unit-level search, counted under its own
    prefix. *)
 let m = Placement.Adversary.metrics "topology/adversary"
-let m_attack_span = Telemetry.Registry.span "topology/adversary/attack"
 
 (* Attack units are same-level fault domains, which are disjoint node
    sets: the kernel regroups the layout's node rows per domain and keeps
@@ -59,16 +53,5 @@ let exact ?budget ?pool layout ~s tree ~level ~j =
     (Placement.Adversary.search_exact ?budget ?pool m
        (kernel_of layout tree ~level ~s)
        ~k:j)
-
-let attack ?pool ?budget layout ~s tree ~level ~j =
-  Telemetry.Span.time m_attack_span @@ fun () ->
-  let result = exact ?budget ?pool layout ~s tree ~level ~j in
-  if not result.exact then
-    Log.warn (fun m ->
-        m
-          "domain adversary exhausted its global node budget at level %S \
-           j=%d: reporting the greedy attack as a heuristic"
-          (Tree.level_name tree level) j);
-  result
 
 let avail layout attack = Placement.Layout.b layout - attack.failed_objects

@@ -49,14 +49,8 @@ val exact :
     greedy one when nothing strictly beats it — exactly what a
     greedy-seeded strict enumeration of every subset returns; on budget
     exhaustion it falls back to the greedy attack with
-    [exact = false], deterministically. *)
-
-val attack :
-  ?pool:Engine.Pool.t ->
-  ?budget:int ->
-  Placement.Layout.t -> s:int -> Tree.t -> level:int -> j:int -> attack
-(** {!exact} under the [topology/adversary/attack] span, logging a
-    warning (source ["topology.adversary"]) when the budget ran out.
+    [exact = false], deterministically, and logs a warning.  The search
+    runs under the [topology/adversary/attack] span.
     @raise Invalid_argument when the layout and tree disagree on [n],
     or [j] is out of range. *)
 

